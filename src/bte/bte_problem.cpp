@@ -87,14 +87,6 @@ BteProblem::BteProblem(const BteScenario& scenario, std::shared_ptr<const BtePhy
   build();
 }
 
-double BteProblem::wall_temperature(double x) const {
-  const double xc = scenario_.hot_center_frac * scenario_.lx;
-  const double r = x - xc;
-  // Gaussian with 1/e^2 radius hot_w: dT * exp(-2 r^2 / w^2).
-  return scenario_.T_cold +
-         (scenario_.T_hot - scenario_.T_cold) * std::exp(-2.0 * r * r / (scenario_.hot_w * scenario_.hot_w));
-}
-
 void BteProblem::build() {
   const BtePhysics& ph = *physics_;
   const int nb = ph.num_bands();
@@ -142,7 +134,6 @@ void BteProblem::build() {
   // ---- boundary callbacks (CPU, as in the paper) ----------------------------
   const BtePhysics* phys = physics_.get();
   const BteScenario scen = scenario_;
-  auto self = this;
 
   // Physical outward flux integrand f = vg (s.n) I_face with the face value
   // upwinded: outgoing directions take the cell value, incoming take the
@@ -172,9 +163,9 @@ void BteProblem::build() {
              });
   // Region 2 (y-max): isothermal with the centered Gaussian hot spot.
   p.boundary("I", 2, dsl::BcType::Flux, "isothermal_hot",
-             [isothermal, self](const fvm::BoundaryContext& ctx) {
+             [isothermal, scen](const fvm::BoundaryContext& ctx) {
                const double x = ctx.mesh->face(ctx.face).centroid.x;
-               return isothermal(ctx, self->wall_temperature(x));
+               return isothermal(ctx, scen.wall_temperature(x));
              });
   // Regions 3/4 (x-min/x-max): symmetry (specular reflection).
   p.boundary("I", 3, dsl::BcType::Flux, "symmetry", symmetric);

@@ -16,6 +16,7 @@
 // update is a post-step callback that solves the per-cell nonlinear energy
 // balance and refreshes Io and beta.
 
+#include <cmath>
 #include <memory>
 
 #include "core/dsl/problem.hpp"
@@ -40,6 +41,14 @@ struct BteScenario {
   // Kernel backend: "" = process default (FINCH_BACKEND else vm), or one of
   // "vm" / "native" / "auto" (see CODEGEN.md §6). Validated at build time.
   std::string backend;
+
+  // Hot-wall temperature at position x along the wall: a Gaussian of 1/e^2
+  // radius hot_w, T_cold + dT * exp(-2 r^2 / w^2). Every solver evaluates
+  // this one expression, so their boundary values agree bit for bit.
+  double wall_temperature(double x) const {
+    const double r = x - hot_center_frac * lx;
+    return T_cold + (T_hot - T_cold) * std::exp(-2.0 * r * r / (hot_w * hot_w));
+  }
 
   // Paper-exact configuration of §III.A (1100 DOF/cell on a 120x120 grid).
   static BteScenario paper_hotspot();
@@ -85,9 +94,6 @@ class BteProblem {
 
   // Per-cell temperature (after at least one post-step).
   std::vector<double> temperature() const;
-  // Hot-wall temperature profile at position x along the wall.
-  double wall_temperature(double x) const;
-
   // Writes "x,y,T" CSV rows for the temperature field (Fig. 2 / Fig. 10).
   void write_temperature_csv(const std::string& path) const;
 

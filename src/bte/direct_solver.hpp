@@ -40,7 +40,6 @@ class DirectSolver {
   int cell_id(int i, int j) const { return j * nx_ + i; }
   void sweep_intensity();
   void update_temperature();
-  double wall_temperature(double x) const;
 
   BteScenario scen_;
   std::shared_ptr<const BtePhysics> phys_;

@@ -21,12 +21,13 @@ double seconds_since(Clock::time_point t0) {
 
 MultiGpuSolver::MultiGpuSolver(const BteScenario& scenario, std::shared_ptr<const BtePhysics> physics,
                                int num_devices, rt::GpuSpec spec)
-    : scen_(scenario), phys_(std::move(physics)), spec_(std::move(spec)) {
+    : DistributedSolver(scenario, std::move(physics),
+                        {"mgpu", rt::FaultKind::DeviceLoss, "gpu", "device"}),
+      spec_(std::move(spec)),
+      slices_(*phys_, scenario.nx * scenario.ny) {
   if (num_devices < 1) throw std::invalid_argument("MultiGpuSolver: num_devices >= 1");
   nx_ = scen_.nx;
   ny_ = scen_.ny;
-  nd_ = phys_->num_dirs();
-  nb_ = phys_->num_bands();
   if (num_devices > nb_) throw std::invalid_argument("MultiGpuSolver: more devices than bands");
   hx_ = scen_.lx / nx_;
   hy_ = scen_.ly / ny_;
@@ -45,15 +46,14 @@ MultiGpuSolver::MultiGpuSolver(const BteScenario& scenario, std::shared_ptr<cons
         interior_cells_.push_back(c);
     }
 
-  build_topology(num_devices);
+  rebuild(num_devices);
 }
 
-// (Re)builds the device topology for `num_devices` devices: contiguous band
-// ranges, fresh SimGpu instances, state at T_init, and the one-time upload of
-// each band slice (the movement plan's upload_once). Called by the constructor
-// and by evict_and_redistribute, which follows it with a checkpoint restore
-// that overwrites the T_init state with the survivors' truth.
-void MultiGpuSolver::build_topology(int num_devices) {
+// Fresh SimGpu instances, state at T_init, and the one-time upload of each
+// band slice (the movement plan's upload_once). Called by the constructor and
+// by the driver's eviction, which follows it with a checkpoint restore that
+// overwrites the T_init state with the survivors' truth.
+void MultiGpuSolver::rebuild(int num_devices) {
   devices_.clear();
   for (int p = 0; p < num_devices; ++p) {
     devices_.push_back(std::make_unique<rt::SimGpu>(spec_));
@@ -62,50 +62,26 @@ void MultiGpuSolver::build_topology(int num_devices) {
       devices_.back()->set_memory_budget(res_.memory);
     }
   }
-  std::vector<std::pair<int, int>> ranges(static_cast<size_t>(num_devices));
-  for (int p = 0; p < num_devices; ++p)
-    ranges[static_cast<size_t>(p)] = {p * nb_ / num_devices, (p + 1) * nb_ / num_devices};
-  apply_band_layout(ranges);
+  nparts_ = num_devices;
+  apply_band_layout(slices_.equal_split(num_devices));
   detector_.resize(num_devices);
 }
 
-void MultiGpuSolver::apply_band_layout(const std::vector<std::pair<int, int>>& ranges) {
-  const int ncell = nx_ * ny_;
-  ranks_.assign(ranges.size(), Rank{});
-  for (size_t p = 0; p < ranges.size(); ++p) {
-    Rank& r = ranks_[p];
-    r.b_lo = ranges[p].first;
-    r.b_hi = ranges[p].second;
-    const int bl = r.b_hi - r.b_lo;
-    rt::SimGpu& gpu = *devices_[p];
-    r.I.resize(static_cast<size_t>(ncell) * nd_ * bl);
-    r.I_new.resize(r.I.size());
-    r.Io.resize(static_cast<size_t>(ncell) * bl);
-    r.beta.resize(r.Io.size());
-    for (int b = r.b_lo; b < r.b_hi; ++b) {
-      const double i0 = phys_->table.I0(b, scen_.T_init);
-      const double be = phys_->table.beta(b, scen_.T_init);
-      const int lb = b - r.b_lo;
-      for (int c = 0; c < ncell; ++c) {
-        r.Io[static_cast<size_t>(c) * bl + lb] = i0;
-        r.beta[static_cast<size_t>(c) * bl + lb] = be;
-        for (int d = 0; d < nd_; ++d) r.I[(static_cast<size_t>(c) * bl + lb) * nd_ + d] = i0;
-      }
-    }
-    r.dev_I = gpu.allocate(r.I.size());
-    r.dev_Iob = gpu.allocate(r.Io.size() + r.beta.size());
-    gpu.memcpy_h2d(r.dev_I, r.I);
-  }
+void MultiGpuSolver::apply_band_layout(const BandSlices::Ranges& ranges) {
+  slices_.assign(ranges, scen_.T_init);
+  mirrors_.assign(ranges.size(), Mirror{});
+  for (size_t p = 0; p < ranges.size(); ++p) allocate_mirror(p);
 }
 
-double MultiGpuSolver::wall_temperature(double x) const {
-  const double xc = scen_.hot_center_frac * scen_.lx;
-  const double rr = x - xc;
-  return scen_.T_cold +
-         (scen_.T_hot - scen_.T_cold) * std::exp(-2.0 * rr * rr / (scen_.hot_w * scen_.hot_w));
+void MultiGpuSolver::allocate_mirror(size_t p) {
+  const BandSlices::Slice& r = slices_[p];
+  rt::SimGpu& gpu = *devices_[p];
+  mirrors_[p].dev_I = gpu.allocate(r.I.size());
+  mirrors_[p].dev_Iob = gpu.allocate(r.Io.size() + r.beta.size());
+  gpu.memcpy_h2d(mirrors_[p].dev_I, r.I);
 }
 
-void MultiGpuSolver::sweep_cells(Rank& r, const std::vector<int32_t>& cells) {
+void MultiGpuSolver::sweep_cells(BandSlices::Slice& r, const std::vector<int32_t>& cells) {
   sweep_cells_into(r, cells, r.I, r.I_new);
 }
 
@@ -113,7 +89,7 @@ void MultiGpuSolver::sweep_cells(Rank& r, const std::vector<int32_t>& cells) {
 // recompute a cell sub-range from the previous state (I_src = the shadow in
 // I_new after the swap) directly into the live array. Per-cell results depend
 // only on I_src, Io, beta, so any subset recomputes bit-identically.
-void MultiGpuSolver::sweep_cells_into(Rank& r, const std::vector<int32_t>& cells,
+void MultiGpuSolver::sweep_cells_into(BandSlices::Slice& r, const std::vector<int32_t>& cells,
                                       const std::vector<double>& I_src, std::vector<double>& out) {
   const int bl = r.b_hi - r.b_lo;
   const double ax = dt_ / hx_, ay = dt_ / hy_;
@@ -155,7 +131,7 @@ void MultiGpuSolver::sweep_cells_into(Rank& r, const std::vector<int32_t>& cells
         if (j < ny_ - 1)
           In = vy > 0 ? Ic : I_src[idx(c + nx_, d)];
         else
-          In = vy > 0 ? Ic : phys_->table.I0(b, wall_temperature((i + 0.5) * hx_));
+          In = vy > 0 ? Ic : phys_->table.I0(b, scen_.wall_temperature((i + 0.5) * hx_));
         val -= ay * vy * In;
 
         out[idx(c, d)] = val;
@@ -187,14 +163,13 @@ void MultiGpuSolver::charge_phase(double Phases::*field, const char* name, doubl
 }
 
 void MultiGpuSolver::step() {
-  const int ncell = nx_ * ny_;
   double comm = 0;
-  dev_seconds_.assign(ranks_.size(), 0.0);
+  dev_seconds_.assign(slices_.size(), 0.0);
 
-  for (size_t p = 0; p < ranks_.size(); ++p) {
-    Rank& r = ranks_[p];
+  for (size_t p = 0; p < slices_.size(); ++p) {
+    BandSlices::Slice& r = slices_[p];
     rt::SimGpu& gpu = *devices_[p];
-    const int bl = r.b_hi - r.b_lo;
+    const int bl = r.bands();
     const double dev_before = gpu.stream_clock(0);
     const double copy_before = gpu.counters().copy_seconds;
 
@@ -221,7 +196,7 @@ void MultiGpuSolver::step() {
     // defense armed, the round trip additionally maintains the ABFT block
     // ledger, adopts the (possibly silently decayed) device copy, and heals
     // any corrupted block before the temperature update can consume it.
-    if (resilient_ && res_.sdc.enabled)
+    if (sdc_armed())
       sdc_roundtrip(p);
     else
       roundtrip_with_guard(p);
@@ -267,49 +242,28 @@ void MultiGpuSolver::step() {
 
   // Gather band sums, temperature update on the CPU (replicated).
   const auto t0 = Clock::now();
-  for (Rank& r : ranks_) {
-    const int bl = r.b_hi - r.b_lo;
-    for (int b = r.b_lo; b < r.b_hi; ++b) {
-      const int lb = b - r.b_lo;
-      for (int c = 0; c < ncell; ++c) {
-        double g = 0.0;
-        for (int d = 0; d < nd_; ++d)
-          g += phys_->directions.weight[static_cast<size_t>(d)] *
-               r.I[(static_cast<size_t>(c) * bl + lb) * nd_ + static_cast<size_t>(d)];
-        G_global_[static_cast<size_t>(c) * nb_ + static_cast<size_t>(b)] = g;
-      }
-    }
-  }
-  std::vector<double> G(static_cast<size_t>(nb_));
-  for (int c = 0; c < ncell; ++c) {
-    for (int b = 0; b < nb_; ++b) G[static_cast<size_t>(b)] = G_global_[static_cast<size_t>(c) * nb_ + static_cast<size_t>(b)];
-    const double Tc = phys_->table.solve_temperature(G, T_[static_cast<size_t>(c)]);
-    T_[static_cast<size_t>(c)] = Tc;
-    for (Rank& r : ranks_) {
-      const int bl = r.b_hi - r.b_lo;
-      for (int b = r.b_lo; b < r.b_hi; ++b) {
-        const int lb = b - r.b_lo;
-        r.Io[static_cast<size_t>(c) * bl + lb] = phys_->table.I0(b, Tc);
-        r.beta[static_cast<size_t>(c) * bl + lb] = phys_->table.beta(b, Tc);
-      }
-    }
-  }
+  for (const BandSlices::Slice& r : slices_) slices_.sum_into(r, G_global_);
+  slices_.update_temperature(G_global_, T_);
   charge_phase(&Phases::temperature, "temperature", seconds_since(t0));
 
   // H2D: refreshed Io/beta go back to each device — the movement plan's
   // per-step upload.
   double up = 0;
-  for (size_t p = 0; p < ranks_.size(); ++p) {
-    Rank& r = ranks_[p];
-    rt::SimGpu& gpu = *devices_[p];
-    const double before = gpu.counters().copy_seconds;
-    iob_scratch_.resize(r.Io.size() + r.beta.size());
-    std::copy(r.Io.begin(), r.Io.end(), iob_scratch_.begin());
-    std::copy(r.beta.begin(), r.beta.end(), iob_scratch_.begin() + static_cast<std::ptrdiff_t>(r.Io.size()));
-    gpu.memcpy_h2d(r.dev_Iob, iob_scratch_);
-    up = std::max(up, gpu.counters().copy_seconds - before);
+  for (size_t p = 0; p < slices_.size(); ++p) {
+    const double before = devices_[p]->counters().copy_seconds;
+    upload_moments(p);
+    up = std::max(up, devices_[p]->counters().copy_seconds - before);
   }
   charge_phase(&Phases::communication, "communication", up);
+}
+
+void MultiGpuSolver::upload_moments(size_t p) {
+  const BandSlices::Slice& r = slices_[p];
+  iob_scratch_.resize(r.Io.size() + r.beta.size());
+  std::copy(r.Io.begin(), r.Io.end(), iob_scratch_.begin());
+  std::copy(r.beta.begin(), r.beta.end(),
+            iob_scratch_.begin() + static_cast<std::ptrdiff_t>(r.Io.size()));
+  devices_[p]->memcpy_h2d(mirrors_[p].dev_Iob, iob_scratch_);
 }
 
 // ---- resilience --------------------------------------------------------------
@@ -325,22 +279,21 @@ void MultiGpuSolver::launch_with_retry(rt::SimGpu& gpu, const std::string& name,
       rstats_.faults_detected += 1;
       if (!resilient_ || attempt >= res_.max_retries)
         throw;  // unrecoverable here; run() or the caller decides
-      const double delay = backoff_delay(res_, attempt);
-      charge_phase(&Phases::recovery, "recovery", delay);
-      rstats_.recovery_seconds += delay;
+      recover(backoff_delay(res_, attempt));
       rstats_.retries += 1;
     }
   }
 }
 
 void MultiGpuSolver::roundtrip_with_guard(size_t p) {
-  Rank& r = ranks_[p];
+  const BandSlices::Slice& r = slices_[p];
+  rt::DeviceBuffer& dev_I = mirrors_[p].dev_I;
   rt::SimGpu& gpu = *devices_[p];
   host_back_.resize(r.I.size());
   const uint64_t want = resilient_ ? rt::checksum_doubles(r.I) : 0;
   for (int attempt = 0;; ++attempt) {
-    gpu.memcpy_h2d(r.dev_I, r.I);
-    gpu.memcpy_d2h(host_back_, r.dev_I);
+    gpu.memcpy_h2d(dev_I, r.I);
+    gpu.memcpy_d2h(host_back_, dev_I);
     if (!resilient_) return;
     if (rt::checksum_doubles(host_back_) == want) return;
     // Corrupted transfer: the band slice on the device (or the downloaded
@@ -351,9 +304,7 @@ void MultiGpuSolver::roundtrip_with_guard(size_t p) {
       health_.detail = "device " + std::to_string(p) + " round-trip checksum mismatch";
       return;  // validation fails; run() rolls back and replays this step
     }
-    const double delay = backoff_delay(res_, attempt);
-    charge_phase(&Phases::recovery, "recovery", delay);
-    rstats_.recovery_seconds += delay;
+    recover(backoff_delay(res_, attempt));
     rstats_.retries += 1;
   }
 }
@@ -373,37 +324,35 @@ void MultiGpuSolver::roundtrip_with_guard(size_t p) {
 // Ledger upkeep + verification + sentinels are charged to the audit phase;
 // block recomputes to recovery.
 void MultiGpuSolver::sdc_roundtrip(size_t p) {
-  Rank& r = ranks_[p];
+  BandSlices::Slice& r = slices_[p];
+  Mirror& m = mirrors_[p];
   rt::SimGpu& gpu = *devices_[p];
-  const int bl = r.b_hi - r.b_lo;
-  const size_t stride = static_cast<size_t>(bl) * static_cast<size_t>(nd_);
+  const size_t stride = static_cast<size_t>(r.bands()) * static_cast<size_t>(nd_);
 
   auto a0 = Clock::now();
-  if (r.ledger.size() != r.I.size()) {
+  if (m.ledger.size() != r.I.size()) {
     const size_t block = static_cast<size_t>(std::max(1, res_.sdc.block_cells)) * stride;
-    r.ledger = rt::BlockLedger(r.I.size(), block);
+    m.ledger = rt::BlockLedger(r.I.size(), block);
   }
-  r.ledger.update(r.I);
+  m.ledger.update(r.I);
   double audit_s = seconds_since(a0);
 
   const int64_t flips_before = gpu.counters().silent_flips;
-  gpu.memcpy_h2d(r.dev_I, r.I);
-  gpu.decay(r.dev_I, "dev_I");
+  gpu.memcpy_h2d(m.dev_I, r.I);
+  gpu.decay(m.dev_I, "dev_I");
   host_back_.resize(r.I.size());
-  gpu.memcpy_d2h(host_back_, r.dev_I);
+  gpu.memcpy_d2h(host_back_, m.dev_I);
   std::copy(host_back_.begin(), host_back_.end(), r.I.begin());
   if (gpu.counters().silent_flips > flips_before && flip_step_ < 0) flip_step_ = step_index_;
 
   a0 = Clock::now();
-  const std::vector<size_t> bad = r.ledger.verify(r.I);
+  const std::vector<size_t> bad = m.ledger.verify(r.I);
   audit_s += seconds_since(a0);
   for (size_t blk : bad) {
     note_sdc_detection();
     const auto r0 = Clock::now();
     const bool healed = repair_block(p, blk);
-    const double repair_s = seconds_since(r0);
-    charge_phase(&Phases::recovery, "recovery", repair_s);
-    rstats_.recovery_seconds += repair_s;
+    recover(seconds_since(r0));
     if (!healed) {
       health_.sdc_ok = false;
       health_.detail = "device " + std::to_string(p) + " block " + std::to_string(blk) +
@@ -418,16 +367,6 @@ void MultiGpuSolver::sdc_roundtrip(size_t p) {
   rstats_.audit_seconds += audit_s;
 }
 
-void MultiGpuSolver::note_sdc_detection() {
-  rstats_.sdc_detections += 1;
-  // Injection and audit happen in the same step, so the observed latency is
-  // one step; the stat records the bound actually achieved.
-  const int64_t now = step_index_ + 1;
-  const int64_t latency = flip_step_ >= 0 ? now - flip_step_ : 1;
-  rstats_.max_detection_latency_steps = std::max(rstats_.max_detection_latency_steps, latency);
-  flip_step_ = -1;
-}
-
 // Localized repair: recompute one block's step from the previous state (the
 // shadow that I_new holds after the swap) straight into the live array. The
 // ledger's blocks align to whole cells, so the recompute is the exact
@@ -435,17 +374,17 @@ void MultiGpuSolver::note_sdc_detection() {
 // Returns false when the block still mismatches afterwards (the "same block
 // failed twice" case the caller escalates to checkpoint rollback).
 bool MultiGpuSolver::repair_block(size_t p, size_t block) {
-  Rank& r = ranks_[p];
-  const int bl = r.b_hi - r.b_lo;
-  const size_t stride = static_cast<size_t>(bl) * static_cast<size_t>(nd_);
-  const rt::BlockLedger::Range range = r.ledger.range(block);
+  BandSlices::Slice& r = slices_[p];
+  const rt::BlockLedger& ledger = mirrors_[p].ledger;
+  const size_t stride = static_cast<size_t>(r.bands()) * static_cast<size_t>(nd_);
+  const rt::BlockLedger::Range range = ledger.range(block);
   repair_cells_.clear();
   for (size_t c = range.begin / stride; c * stride < range.end; ++c)
     repair_cells_.push_back(static_cast<int32_t>(c));
   sweep_cells_into(r, repair_cells_, r.I_new, r.I);
   // A repair hit by its own silent fault (site "repair") models the same
   // block failing twice — the localized path gives up and the run() loop
-  // falls back to the PR 1 checkpoint rollback.
+  // falls back to checkpoint rollback.
   if (res_.injector != nullptr &&
       res_.injector->should_fault(rt::FaultKind::BitFlipDeviceArray, "repair"))
     res_.injector->flip_bit(
@@ -453,7 +392,7 @@ bool MultiGpuSolver::repair_block(size_t p, size_t block) {
         rt::FaultKind::BitFlipDeviceArray, "repair");
   const rt::BlockChecksum now = rt::block_checksum(
       std::span<const double>(r.I).subspan(range.begin, range.end - range.begin));
-  if (!now.matches(r.ledger.checksum(block))) {
+  if (!now.matches(ledger.checksum(block))) {
     rstats_.repair_failures += 1;
     return false;
   }
@@ -469,27 +408,19 @@ bool MultiGpuSolver::repair_block(size_t p, size_t block) {
 // latency to one step.
 void MultiGpuSolver::audit_sentinels(size_t p) {
   if (res_.sdc.sentinel_cells <= 0) return;
-  Rank& r = ranks_[p];
-  const int bl = r.b_hi - r.b_lo;
-  const size_t stride = static_cast<size_t>(bl) * static_cast<size_t>(nd_);
-  const int ncell = nx_ * ny_;
-  if (sentinel_cells_.empty()) {
-    const int n = std::min(res_.sdc.sentinel_cells, ncell);
-    for (int k = 0; k < n; ++k)
-      sentinel_cells_.push_back(static_cast<int32_t>((static_cast<int64_t>(k) + 1) * ncell / (n + 1)));
-  }
+  BandSlices::Slice& r = slices_[p];
+  const size_t stride = static_cast<size_t>(r.bands()) * static_cast<size_t>(nd_);
+  const std::vector<int32_t>& sentinels = sentinel_cells();
   sentinel_scratch_.resize(r.I.size());
-  sweep_cells_into(r, sentinel_cells_, r.I_new, sentinel_scratch_);
-  for (int32_t c : sentinel_cells_) {
+  sweep_cells_into(r, sentinels, r.I_new, sentinel_scratch_);
+  for (int32_t c : sentinels) {
     rstats_.sentinel_checks += 1;
     const size_t off = static_cast<size_t>(c) * stride;
     if (std::memcmp(&r.I[off], &sentinel_scratch_[off], stride * sizeof(double)) == 0) continue;
     note_sdc_detection();
     const auto r0 = Clock::now();
-    const bool healed = repair_block(p, r.ledger.block_of(off));
-    const double repair_s = seconds_since(r0);
-    charge_phase(&Phases::recovery, "recovery", repair_s);
-    rstats_.recovery_seconds += repair_s;
+    const bool healed = repair_block(p, mirrors_[p].ledger.block_of(off));
+    recover(seconds_since(r0));
     if (!healed) {
       health_.sdc_ok = false;
       health_.detail = "device " + std::to_string(p) + " sentinel cell " + std::to_string(c) +
@@ -506,114 +437,30 @@ void MultiGpuSolver::audit_sentinels(size_t p) {
 // health-failing — bit-exact detection stays the checksums' job.
 void MultiGpuSolver::audit_energy_invariant() {
   rt::KahanSum e;
-  for (const Rank& r : ranks_) {
-    if (r.ledger.size() != r.I.size()) return;  // ledger not armed yet
-    for (size_t b = 0; b < r.ledger.num_blocks(); ++b) e.add(r.ledger.checksum(b).sum);
+  for (size_t p = 0; p < slices_.size(); ++p) {
+    const rt::BlockLedger& ledger = mirrors_[p].ledger;
+    if (ledger.size() != slices_[p].I.size()) return;  // ledger not armed yet
+    for (size_t b = 0; b < ledger.num_blocks(); ++b) e.add(ledger.checksum(b).sum);
   }
-  if (have_prev_energy_) {
-    const double drift = std::abs(e.sum - prev_energy_) / std::max(std::abs(prev_energy_), 1e-300);
-    if (drift > res_.sdc.energy_drift_tol) rstats_.invariant_violations += 1;
-  }
-  prev_energy_ = e.sum;
-  have_prev_energy_ = true;
+  check_energy_drift(e.sum);
 }
 
 void MultiGpuSolver::validate() {
   rstats_.validations += 1;
-  if (resilient_ && res_.sdc.enabled) audit_energy_invariant();
-  size_t bad = 0;
-  for (size_t p = 0; p < ranks_.size(); ++p) {
-    if (!rt::all_finite(ranks_[p].I, &bad)) {
-      health_.finite_ok = false;
-      health_.nonfinite_values += 1;
-      health_.detail = "rank " + std::to_string(p) + " I[" + std::to_string(bad) + "] non-finite";
-    }
-  }
-  if (!rt::all_finite(T_, &bad)) {
-    health_.finite_ok = false;
-    health_.nonfinite_values += 1;
-    health_.detail = "T[" + std::to_string(bad) + "] non-finite";
-  }
+  if (sdc_armed()) audit_energy_invariant();
+  for (size_t p = 0; p < slices_.size(); ++p) scan_finite(slices_[p].I, static_cast<int>(p), "I");
+  scan_finite(T_, -1, "T");
 }
 
-rt::Snapshot MultiGpuSolver::snapshot() const {
-  const size_t ncell = static_cast<size_t>(nx_) * static_cast<size_t>(ny_);
-  rt::Snapshot snap;
-  snap.step = step_index_;
-  std::vector<double> Io(ncell * static_cast<size_t>(nb_)), beta(Io.size());
-  for (const Rank& r : ranks_) {
-    const int bl = r.b_hi - r.b_lo;
-    for (int b = r.b_lo; b < r.b_hi; ++b) {
-      const int lb = b - r.b_lo;
-      for (size_t c = 0; c < ncell; ++c) {
-        Io[c * static_cast<size_t>(nb_) + static_cast<size_t>(b)] =
-            r.Io[c * static_cast<size_t>(bl) + static_cast<size_t>(lb)];
-        beta[c * static_cast<size_t>(nb_) + static_cast<size_t>(b)] =
-            r.beta[c * static_cast<size_t>(bl) + static_cast<size_t>(lb)];
-      }
-    }
-  }
-  snap.add("I", gather_intensity());
-  snap.add("T", T_);
-  snap.add("Io", Io);
-  snap.add("beta", beta);
-  return snap;
-}
-
-void MultiGpuSolver::restore(const rt::Snapshot& snap) {
-  const size_t ncell = static_cast<size_t>(nx_) * static_cast<size_t>(ny_);
-  const auto& I = snap.field("I");
-  const auto& T = snap.field("T");
-  const auto& Io = snap.field("Io");
-  const auto& beta = snap.field("beta");
-  if (I.size() != ncell * static_cast<size_t>(nd_) * static_cast<size_t>(nb_) ||
-      T.size() != ncell || Io.size() != ncell * static_cast<size_t>(nb_) ||
-      beta.size() != Io.size())
-    throw rt::CheckpointError("snapshot does not match problem size");
+void MultiGpuSolver::scatter(const std::vector<double>& I, const std::vector<double>& T,
+                             const std::vector<double>& Io, const std::vector<double>& beta) {
   T_ = T;
-  for (size_t p = 0; p < ranks_.size(); ++p) {
-    Rank& r = ranks_[p];
-    const int bl = r.b_hi - r.b_lo;
-    for (int b = r.b_lo; b < r.b_hi; ++b) {
-      const int lb = b - r.b_lo;
-      for (size_t c = 0; c < ncell; ++c) {
-        r.Io[c * static_cast<size_t>(bl) + static_cast<size_t>(lb)] =
-            Io[c * static_cast<size_t>(nb_) + static_cast<size_t>(b)];
-        r.beta[c * static_cast<size_t>(bl) + static_cast<size_t>(lb)] =
-            beta[c * static_cast<size_t>(nb_) + static_cast<size_t>(b)];
-        for (int d = 0; d < nd_; ++d)
-          r.I[(c * static_cast<size_t>(bl) + static_cast<size_t>(lb)) * static_cast<size_t>(nd_) +
-              static_cast<size_t>(d)] =
-              I[c * static_cast<size_t>(nd_) * static_cast<size_t>(nb_) +
-                static_cast<size_t>(d + nd_ * b)];
-      }
-    }
-    // Device mirrors must match the restored host truth before replay.
-    rt::SimGpu& gpu = *devices_[p];
-    gpu.memcpy_h2d(r.dev_I, r.I);
-    iob_scratch_.resize(r.Io.size() + r.beta.size());
-    std::copy(r.Io.begin(), r.Io.end(), iob_scratch_.begin());
-    std::copy(r.beta.begin(), r.beta.end(),
-              iob_scratch_.begin() + static_cast<std::ptrdiff_t>(r.Io.size()));
-    gpu.memcpy_h2d(r.dev_Iob, iob_scratch_);
+  slices_.scatter(I, Io, beta);
+  // Device mirrors must match the restored host truth before replay.
+  for (size_t p = 0; p < slices_.size(); ++p) {
+    devices_[p]->memcpy_h2d(mirrors_[p].dev_I, slices_[p].I);
+    upload_moments(p);
   }
-  step_index_ = snap.step;
-  // Restored state invalidates the step-to-step SDC bookkeeping.
-  have_prev_energy_ = false;
-  flip_step_ = -1;
-}
-
-std::vector<int32_t> MultiGpuSolver::owner_counts() const {
-  std::vector<int32_t> counts(static_cast<size_t>(nb_), 0);
-  for (const Rank& r : ranks_)
-    for (int b = r.b_lo; b < r.b_hi; ++b) counts[static_cast<size_t>(b)] += 1;
-  return counts;
-}
-
-void MultiGpuSolver::take_checkpoint(const std::string& cancel_reason) {
-  store_.save(snapshot());
-  rstats_.checkpoints += 1;
-  write_run_manifest(res_, rstats_, "mgpu", num_devices(), config_hash(), store_, cancel_reason);
 }
 
 double MultiGpuSolver::copy_seconds_total() const {
@@ -622,55 +469,25 @@ double MultiGpuSolver::copy_seconds_total() const {
   return s;
 }
 
-void MultiGpuSolver::restore_checkpoint() {
-  // The device-mirror refresh is a real H2D cost; on the rollback path it is
-  // part of recovery (the eviction path bills its restore as redistribution).
-  const rt::Snapshot snap = load_checkpoint_guarded(store_, res_, rstats_, [this](double s) {
-    charge_phase(&Phases::recovery, "recovery", s);
-    rstats_.recovery_seconds += s;
-  });
-  const double copy_before = copy_seconds_total();
-  restore(snap);
-  const double spent = copy_seconds_total() - copy_before;
-  charge_phase(&Phases::recovery, "recovery", spent);
-  rstats_.recovery_seconds += spent;
+void MultiGpuSolver::charge_recovery(double seconds) {
+  charge_phase(&Phases::recovery, "recovery", seconds);
 }
 
-void MultiGpuSolver::kill_device(int32_t device) {
-  if (!resilient_)
-    throw std::logic_error("kill_device: enable_resilience first (eviction needs a checkpoint)");
-  if (device < 0 || device >= num_devices())
-    throw std::invalid_argument("kill_device: device out of range");
-  pending_kill_ = device;
-}
-
-void MultiGpuSolver::evict_and_redistribute(int32_t victim) {
-  if (num_devices() <= 1)
-    throw ResilienceError("device " + std::to_string(victim) + " lost with no survivors");
-  rstats_.faults_detected += 1;
-  // Survivors notice the loss a suspicion timeout after it happens.
+// Survivors notice the loss a suspicion timeout after it happens.
+double MultiGpuSolver::charge_loss_detection(int32_t) {
   const double timeout = res_.heartbeat.suspicion_timeout();
-  charge_phase(&Phases::recovery, "recovery", timeout);
-  rstats_.recovery_seconds += timeout;
+  charge_recovery(timeout);
+  return timeout;
+}
 
-  // Redistribute the band shards over the M surviving devices and reload the
-  // last global checkpoint; the re-upload of every shard is the (measured)
-  // redistribution cost. The image is loaded through the guarded path, before
-  // the shrink, so a hang or corrupted read mid-restore retries / falls back a
-  // generation instead of leaving a half-shrunk device fleet.
-  const int64_t before = step_index_;
-  const rt::Snapshot snap = load_checkpoint_guarded(store_, res_, rstats_, [this](double s) {
-    charge_phase(&Phases::recovery, "recovery", s);
-    rstats_.recovery_seconds += s;
-  });
-  build_topology(num_devices() - 1);
+double MultiGpuSolver::restore_charged(const rt::Snapshot& snap, Motion m) {
   const double copy_before = copy_seconds_total();
   restore(snap);
   const double spent = copy_seconds_total() - copy_before;
-  charge_phase(&Phases::redistribution, "redistribution", spent);
-  rstats_.redistribution_seconds += spent;
-  rstats_.evictions += 1;
-  rstats_.replayed_steps += before - step_index_;
+  if (m == Motion::Rollback) charge_phase(&Phases::recovery, "recovery", spent);
+  if (m == Motion::Redistribution) charge_phase(&Phases::redistribution, "redistribution", spent);
+  if (m == Motion::Rebalance) charge_phase(&Phases::rebalance, "rebalance", spent);
+  return spent;
 }
 
 void MultiGpuSolver::inject_slow_device(int32_t device, double factor) {
@@ -679,58 +496,18 @@ void MultiGpuSolver::inject_slow_device(int32_t device, double factor) {
   devices_[static_cast<size_t>(device)]->set_slow(factor);
 }
 
-void MultiGpuSolver::maybe_mitigate_stragglers() {
-  if (!resilient_ || !res_.straggler.enabled || !res_.straggler.rebalance) return;
-  if (num_devices() <= 1 || rstats_.rebalances >= res_.straggler.max_rebalances) return;
-  const int32_t victim = detector_.chronic_straggler();
-  if (victim >= 0) rebalance_away(victim);
-}
-
-void MultiGpuSolver::rebalance_away(int32_t victim) {
-  // Weighted contiguous split: the victim's share shrinks by its observed
-  // slowdown; everyone else keeps weight 1. The devices are reused — the slow
-  // hardware stays slow, it just owns fewer bands.
-  std::vector<double> w(static_cast<size_t>(num_devices()), 1.0);
-  w[static_cast<size_t>(victim)] = 1.0 / detector_.slowdown(victim);
-  double total = 0.0;
-  for (double x : w) total += x;
-  std::vector<std::pair<int, int>> ranges(w.size());
-  double cum = 0.0;
-  int lo = 0;
-  for (size_t p = 0; p < w.size(); ++p) {
-    cum += w[p];
-    int hi = p + 1 == w.size()
-                 ? nb_
-                 : static_cast<int>(std::lround(static_cast<double>(nb_) * cum / total));
-    hi = std::clamp(hi, lo, nb_);
-    ranges[p] = {lo, hi};
-    lo = hi;
-  }
-  const rt::Snapshot live = snapshot();
-  apply_band_layout(ranges);
-  const double copy_before = copy_seconds_total();
-  restore(live);
-  const double spent = copy_seconds_total() - copy_before;
-  charge_phase(&Phases::rebalance, "rebalance", spent);
-  rstats_.rebalance_seconds += spent;
-  rstats_.rebalances += 1;
+void MultiGpuSolver::relayout_away(int32_t victim) {
+  apply_band_layout(slices_.weighted_split(num_devices(), victim, detector_.slowdown(victim)));
   detector_.resize(num_devices());
 }
 
-void MultiGpuSolver::enable_resilience(const ResilienceOptions& options) {
-  validate_resilience_options(options);
-  res_ = options;
-  resilient_ = true;
+void MultiGpuSolver::arm_strategy() {
   for (auto& dev : devices_) {
     dev->set_fault_injector(res_.injector);
     dev->set_memory_budget(res_.memory);
   }
   if (res_.straggler.enabled) detector_ = rt::StragglerDetector(num_devices(), res_.straggler);
-  if (!res_.durable.dir.empty())
-    store_ = rt::CheckpointStore(res_.durable.dir, res_.durable.disk_generations);
-  register_memory_reliefs();
   rehome_device_mirrors();
-  take_checkpoint();  // rollback target before any resilient step runs
 }
 
 // The constructor allocated the device mirrors before enable_resilience could
@@ -742,135 +519,24 @@ void MultiGpuSolver::enable_resilience(const ResilienceOptions& options) {
 // matter of course since the devices keep the budget pointer.
 void MultiGpuSolver::rehome_device_mirrors() {
   if (res_.memory == nullptr) return;
-  for (size_t p = 0; p < ranks_.size(); ++p) {
-    Rank& r = ranks_[p];
-    rt::SimGpu& gpu = *devices_[p];
-    r.dev_I = gpu.allocate(r.I.size());
-    r.dev_Iob = gpu.allocate(r.Io.size() + r.beta.size());
-    gpu.memcpy_h2d(r.dev_I, r.I);
-  }
+  for (size_t p = 0; p < slices_.size(); ++p) allocate_mirror(p);
 }
 
-// Graceful degradation, cheapest first; only rebuildable state is freed (the
-// host staging buffers are resized before every transfer that uses them).
-void MultiGpuSolver::register_memory_reliefs() {
-  if (res_.memory == nullptr) return;
-  res_.memory->add_relief("ckpt-prev-generation",
-                          [this] { return store_.drop_previous_generation(); });
-  res_.memory->add_relief("scratch-shrink", [this] {
-    const auto shrink = [](std::vector<double>& v) {
-      const int64_t freed = static_cast<int64_t>(v.capacity() * sizeof(double));
-      v.clear();
-      v.shrink_to_fit();
-      return freed;
-    };
-    return shrink(host_back_) + shrink(iob_scratch_) + shrink(sentinel_scratch_);
-  });
-  res_.memory->add_relief("ckpt-spill", [this] { return store_.spill(); });
+// Only rebuildable scratch: the host staging buffers are resized before every
+// transfer that uses them.
+int64_t MultiGpuSolver::shrink_scratch() {
+  const auto shrink = [](std::vector<double>& v) {
+    const int64_t freed = static_cast<int64_t>(v.capacity() * sizeof(double));
+    v.clear();
+    v.shrink_to_fit();
+    return freed;
+  };
+  return shrink(host_back_) + shrink(iob_scratch_) + shrink(sentinel_scratch_);
 }
 
-uint64_t MultiGpuSolver::config_hash() const {
-  ConfigHasher h;
-  h.mix(static_cast<int64_t>(scen_.nx)).mix(static_cast<int64_t>(scen_.ny));
-  h.mix(scen_.lx).mix(scen_.ly);
-  h.mix(static_cast<int64_t>(scen_.kind == BteScenario::Kind::CornerSource ? 1 : 0));
-  h.mix(scen_.T_init).mix(scen_.T_cold).mix(scen_.T_hot);
-  h.mix(scen_.hot_w).mix(scen_.hot_center_frac).mix(scen_.dt);
-  h.mix(static_cast<int64_t>(nd_)).mix(static_cast<int64_t>(nb_));
-  return h.value();
-}
-
-void MultiGpuSolver::resume_from(const rt::RunManifest& manifest,
-                                 const ResilienceOptions& options) {
-  validate_resilience_options(options);
-  if (options.durable.dir.empty())
-    throw std::invalid_argument("resume_from: options.durable.dir must name the manifest's dir");
-  check_manifest_matches(manifest, "mgpu", config_hash());
-  res_ = options;
-  resilient_ = true;
-  for (auto& dev : devices_) {
-    dev->set_fault_injector(res_.injector);
-    dev->set_memory_budget(res_.memory);
-  }
-  if (res_.straggler.enabled) detector_ = rt::StragglerDetector(num_devices(), res_.straggler);
-  register_memory_reliefs();
-  rehome_device_mirrors();
-  store_ = rt::CheckpointStore(res_.durable.dir, res_.durable.disk_generations);
-  store_.resume_sequence(manifest.saves);
-  // Adopt the prior run's surviving generation files so the first
-  // post-resume manifest keeps them as fallback (satellite of ISSUE 8:
-  // without adoption a second crash with a damaged newest generation
-  // had nothing older to fall back to).
-  store_.adopt_disk_paths(manifest.checkpoints);
-  restore(load_manifest_checkpoint(manifest, rstats_));  // re-uploads device mirrors
-  if (res_.injector != nullptr)
-    res_.injector->import_counters(manifest.injector_counters, manifest.injector_events);
-  rstats_.resumes += 1;
-  take_checkpoint();
-}
-
-void MultiGpuSolver::run(int nsteps) {
-  if (!resilient_) {
-    for (int i = 0; i < nsteps; ++i) step();
-    return;
-  }
-  const int64_t target = step_index_ + nsteps;
-  int rollback_budget = res_.max_rollbacks;
-  while (step_index_ < target) {
-    // Cancel/deadline drain and resource-fault consult at the step boundary;
-    // see CellPartitionedSolver::run.
-    if (res_.cancel != nullptr && res_.cancel->should_drain(step_index_, trace_cursor_)) {
-      take_checkpoint(res_.cancel->drain_reason(step_index_, trace_cursor_));
-      rstats_.cancel_drains += 1;
-      break;
-    }
-    consult_resource_faults(res_, rstats_, "mgpu-mem", [this](double s) {
-      charge_phase(&Phases::recovery, "recovery", s);
-      rstats_.recovery_seconds += s;
-    });
-    // Permanent losses surface at step boundaries: an explicit kill_device or
-    // an injected DeviceLoss with a deterministically drawn victim.
-    if (pending_kill_ < 0 && res_.injector != nullptr &&
-        res_.injector->should_fault(rt::FaultKind::DeviceLoss, "gpu"))
-      pending_kill_ = static_cast<int32_t>(
-          res_.injector->pick(rt::FaultKind::DeviceLoss, "gpu", static_cast<size_t>(num_devices())));
-    if (pending_kill_ >= 0) {
-      const int32_t victim = pending_kill_;
-      pending_kill_ = -1;
-      evict_and_redistribute(victim);
-      continue;
-    }
-    // Chronic stragglers are mitigated at the step boundary, never evicted:
-    // the device is alive and correct, just slow.
-    maybe_mitigate_stragglers();
-    health_ = StepHealth{};
-    try {
-      step();
-      ++step_index_;
-      validate();
-    } catch (const rt::TransientFault& fault) {
-      // Retry budget exhausted mid-step: some ranks advanced, some did not.
-      // Only a rollback restores a consistent state.
-      health_.transfer_ok = false;
-      health_.detail = std::string("retries exhausted: ") + fault.what();
-    }
-    if (health_.ok()) {
-      if (res_.checkpoint.due(step_index_)) take_checkpoint();
-      continue;
-    }
-    rstats_.faults_detected += 1;
-    if (rollback_budget-- <= 0)
-      throw ResilienceError("rollback budget exhausted: " + health_.detail);
-    // Replay is measured against the step the restore actually lands on — a
-    // corrupted-newest-image restore can fall back a generation, losing more
-    // than the distance to the latest checkpoint.
-    const int64_t before = step_index_;
-    restore_checkpoint();
-    rstats_.rollbacks += 1;
-    rstats_.replayed_steps += before - step_index_;
-  }
-  // Mirror the per-device performance-fault counters into the run stats.
-  // Evictions recreate devices, so this is a floor, not an exact total.
+// Mirrors the per-device performance-fault counters into the run stats.
+// Evictions recreate devices, so this is a floor, not an exact total.
+void MultiGpuSolver::sync_fault_telemetry() {
   int64_t jitter = 0;
   int64_t slow = 0;
   for (const auto& dev : devices_) {
@@ -879,23 +545,6 @@ void MultiGpuSolver::run(int nsteps) {
   }
   rstats_.jitter_events = jitter;
   rstats_.slow_steps = std::max(rstats_.slow_steps, slow);
-  publish_resilience_metrics(rstats_, published_);
-}
-
-std::vector<double> MultiGpuSolver::gather_intensity() const {
-  const int ncell = nx_ * ny_;
-  std::vector<double> out(static_cast<size_t>(ncell) * nd_ * nb_);
-  for (const Rank& r : ranks_) {
-    const int bl = r.b_hi - r.b_lo;
-    for (int b = r.b_lo; b < r.b_hi; ++b) {
-      const int lb = b - r.b_lo;
-      for (int c = 0; c < ncell; ++c)
-        for (int d = 0; d < nd_; ++d)
-          out[static_cast<size_t>(c) * nd_ * nb_ + static_cast<size_t>(d + nd_ * b)] =
-              r.I[(static_cast<size_t>(c) * bl + lb) * nd_ + static_cast<size_t>(d)];
-    }
-  }
-  return out;
 }
 
 }  // namespace finch::bte

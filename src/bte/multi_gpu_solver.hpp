@@ -5,66 +5,51 @@
 // interior bulk on the (simulated) GPU, boundary cells and the temperature
 // update on the CPU, per-step transfers following the movement plan.
 //
+// A strategy of the one resilient run driver (DistributedSolver,
+// distributed_solver.hpp): this file supplies the device step, the field
+// scan, the band-slice gather/scatter plus device-mirror refresh, the rebuild
+// at M devices, the weighted derate and the phase-ledger clock; run(),
+// checkpoints, eviction and durable resume live in the driver. The band
+// slices use the same BandSlices layout as BandPartitionedSolver.
+//
 // Numerics are bit-identical to the serial DirectSolver (tested); what the
 // simulated devices add is faithful accounting: per-device kernel launches,
 // H2D/D2H byte counters and roofline-modeled times feeding the same phase
 // breakdown the paper plots.
 
 #include <cstdint>
+#include <functional>
 #include <memory>
-#include <utility>
+#include <string>
 #include <vector>
 
-#include "bte_problem.hpp"
-#include "resilience.hpp"
+#include "distributed_solver.hpp"
 #include "runtime/abft.hpp"
 #include "runtime/simgpu.hpp"
 
 namespace finch::bte {
 
-class MultiGpuSolver {
+class MultiGpuSolver : public DistributedSolver {
  public:
   MultiGpuSolver(const BteScenario& scenario, std::shared_ptr<const BtePhysics> physics,
                  int num_devices, rt::GpuSpec spec = rt::GpuSpec::a6000());
 
-  void step();
-  void run(int nsteps);
-
-  // Arms recovery: installs the injector on every device, takes the initial
-  // checkpoint, and makes run() retry transient launch faults, verify each
-  // host<->device round trip by checksum, validate fields per step, and roll
-  // back + replay from the last checkpoint when validation fails.
-  void enable_resilience(const ResilienceOptions& options);
-  bool resilient() const { return resilient_; }
-  const ResilienceStats& resilience_stats() const { return rstats_; }
-  const StepHealth& last_health() const { return health_; }
-  int64_t step_index() const { return step_index_; }
-
-  // Durable restart from a manifest; see CellPartitionedSolver::resume_from.
-  // Also re-uploads the restored state to every device mirror.
-  void resume_from(const rt::RunManifest& manifest, const ResilienceOptions& options);
+  void step() override;
 
   // Elastic shrink: marks `device` as permanently lost (XID/ECC death); at the
   // next run() step boundary the survivors redistribute the band shards over
   // M = num_devices()-1 devices and restart from the last (topology-
   // independent) checkpoint. Requires enable_resilience. DeviceLoss injector
   // policies drive the same path with a deterministically drawn victim.
-  void kill_device(int32_t device);
+  void kill_device(int32_t device) { request_kill(device); }
 
   // Explicit deterministic performance fault: every launch on `device` models
   // `factor`x slower from now on (SlowRank with a hand-placed victim). The
   // kernel's computed result is untouched.
   void inject_slow_device(int32_t device, double factor);
 
-  // Canonical-global-layout snapshot/restore (N-to-M restart); images are
-  // interchangeable with the cell-/band-partitioned solvers' snapshots.
-  // restore() also refreshes every device mirror (the H2D re-upload the
-  // eviction path bills as redistribution).
-  rt::Snapshot snapshot() const;
-  void restore(const rt::Snapshot& snap);
-
-  // Per-band owner multiplicity; eviction invariant tests assert all 1.
-  std::vector<int32_t> owner_counts() const;
+  // Per-band owner multiplicity.
+  std::vector<int32_t> owner_counts() const override { return slices_.owner_counts(); }
 
   int num_devices() const { return static_cast<int>(devices_.size()); }
   const rt::SimGpu& device(int i) const { return *devices_[static_cast<size_t>(i)]; }
@@ -85,61 +70,70 @@ class MultiGpuSolver {
     }
   };
   const Phases& phases() const { return phases_; }
+  double phase_total() const override { return phases_.total(); }
   // Virtual seconds consumed so far; equals phases().total() exactly (every
   // phase charge advances this cursor, see charge_phase).
-  double virtual_elapsed() const { return trace_cursor_; }
+  double virtual_elapsed() const override { return trace_cursor_; }
   // Routes this solver's virtual-time phase spans to Chrome-trace track
   // `track` (see OBSERVABILITY.md); `label` names it in the exported file.
   void set_trace_track(int32_t track, const std::string& label = "");
   int32_t trace_track() const { return trace_track_; }
 
   const std::vector<double>& temperature() const { return T_; }
-  std::vector<double> gather_intensity() const;
+  std::vector<double> gather_temperature() const override { return T_; }
+  std::vector<double> gather_intensity() const override { return slices_.gather_intensity(); }
 
  private:
-  struct Rank {
-    int b_lo = 0, b_hi = 0;
-    rt::DeviceBuffer dev_I;            // device mirror of the band slice
-    rt::DeviceBuffer dev_Iob;          // device mirror of Io+beta
-    std::vector<double> I, I_new;      // [cells * nd * bands_local]
-    std::vector<double> Io, beta;      // [cells * bands_local]
+  // Device side of one band slice. Note: after step()'s I.swap(I_new), the
+  // slice's I_new holds the *previous* step's intensities — the shadow state
+  // the localized repair recomputes from.
+  struct Mirror {
+    rt::DeviceBuffer dev_I;    // device mirror of the band slice
+    rt::DeviceBuffer dev_Iob;  // device mirror of Io+beta
     // ABFT block ledger over I (blocks = cell ranges x this rank's bands).
-    // Note: after step()'s I.swap(I_new), I_new holds the *previous* step's
-    // intensities — the shadow state the localized repair recomputes from.
     rt::BlockLedger ledger;
   };
 
-  void build_topology(int num_devices);
-  // Assigns explicit contiguous band ranges to the *existing* devices —
-  // build_topology recreates devices then applies the equal split; the
+  // Fresh devices at `num_devices` with the equal band split.
+  void rebuild(int num_devices) override;
+  // Assigns explicit contiguous band ranges to the *existing* devices — the
   // weighted rebalance reuses the devices (the slow hardware must stay slow)
   // and only changes the assignment.
-  void apply_band_layout(const std::vector<std::pair<int, int>>& ranges);
-  void evict_and_redistribute(int32_t victim);
+  void apply_band_layout(const BandSlices::Ranges& ranges);
+  // Allocates slice p's device mirrors and uploads its intensities (the
+  // movement plan's upload_once).
+  void allocate_mirror(size_t p);
   // Dynamic derate: the chronic straggler keeps a band share inversely
-  // proportional to its observed slowdown; survivors absorb the rest. State
-  // moves via a live snapshot (bit-exact, no replay); the re-upload is the
-  // rebalance cost.
-  void rebalance_away(int32_t victim);
-  void maybe_mitigate_stragglers();
+  // proportional to its observed slowdown; survivors absorb the rest.
+  void relayout_away(int32_t victim) override;
+  int32_t chronic_straggler() const override { return detector_.chronic_straggler(); }
+  void arm_strategy() override;
+  void charge_recovery(double seconds) override;
+  double charge_loss_detection(int32_t victim) override;
+  // The device-mirror refresh is a real H2D cost, billed to the phase the
+  // motion names.
+  double restore_charged(const rt::Snapshot& snap, Motion m) override;
+  int64_t shrink_scratch() override;
+  void sync_fault_telemetry() override;
+  void validate() override;
+  void gather_moments(std::vector<double>& Io, std::vector<double>& beta) const override {
+    slices_.gather_moments(Io, beta);
+  }
+  void scatter(const std::vector<double>& I, const std::vector<double>& T,
+               const std::vector<double>& Io, const std::vector<double>& beta) override;
+
   double copy_seconds_total() const;
-  void sweep_cells(Rank& r, const std::vector<int32_t>& cells);
-  void sweep_cells_into(Rank& r, const std::vector<int32_t>& cells,
+  void upload_moments(size_t p);
+  void sweep_cells(BandSlices::Slice& r, const std::vector<int32_t>& cells);
+  void sweep_cells_into(BandSlices::Slice& r, const std::vector<int32_t>& cells,
                         const std::vector<double>& I_src, std::vector<double>& out);
-  double wall_temperature(double x) const;
   void launch_with_retry(rt::SimGpu& gpu, const std::string& name, const rt::KernelStats& ks,
                          const std::function<void()>& body);
   void roundtrip_with_guard(size_t p);
   void sdc_roundtrip(size_t p);
   bool repair_block(size_t p, size_t block);
   void audit_sentinels(size_t p);
-  void note_sdc_detection();
   void audit_energy_invariant();
-  void validate();
-  void take_checkpoint(const std::string& cancel_reason = "");
-  void restore_checkpoint();
-  uint64_t config_hash() const;
-  void register_memory_reliefs();
   void rehome_device_mirrors();
   // The single gateway for phase accounting: adds `seconds` to phases_.*field,
   // emits a virtual-time trace span named `name` at the running cursor, and
@@ -148,12 +142,11 @@ class MultiGpuSolver {
   // construction (asserted in bench_straggler).
   void charge_phase(double Phases::*field, const char* name, double seconds);
 
-  BteScenario scen_;
-  std::shared_ptr<const BtePhysics> phys_;
   rt::GpuSpec spec_;
-  int nx_, ny_, nd_, nb_;
+  int nx_, ny_;
   double hx_, hy_, dt_;
-  std::vector<Rank> ranks_;
+  BandSlices slices_;
+  std::vector<Mirror> mirrors_;
   std::vector<std::unique_ptr<rt::SimGpu>> devices_;
   std::vector<int32_t> interior_cells_, boundary_cells_;
   std::vector<double> T_;
@@ -166,22 +159,9 @@ class MultiGpuSolver {
   rt::StragglerDetector detector_;
   std::vector<double> dev_seconds_;
 
-  bool resilient_ = false;
-  ResilienceOptions res_;
-  ResilienceStats rstats_;
-  ResilienceStats published_;  // last rstats_ mirrored into the metrics registry
-  StepHealth health_;
-  rt::CheckpointStore store_;
-  int64_t step_index_ = 0;
-  int32_t pending_kill_ = -1;
-
-  // ---- SDC defense state ----
-  std::vector<int32_t> sentinel_cells_;     // redundant-recompute audit cells
+  // ---- SDC defense scratch ----
   std::vector<int32_t> repair_cells_;       // scratch: cell list of one block
   std::vector<double> sentinel_scratch_;    // recompute target for sentinels
-  int64_t flip_step_ = -1;                  // step of the oldest undetected flip
-  double prev_energy_ = 0.0;                // last step's total intensity energy
-  bool have_prev_energy_ = false;
 };
 
 }  // namespace finch::bte

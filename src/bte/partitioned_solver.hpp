@@ -13,17 +13,22 @@
 //    band-directional sums before the temperature update ("the coupling of
 //    the bands only occurs in the temperature update", §III.C).
 //
-// Both produce fields bit-identical to the serial DirectSolver — tested —
-// and report the bytes they moved, which the perf models' figures price.
+// Both are strategies of the one resilient run driver (DistributedSolver,
+// distributed_solver.hpp): they supply one step, the field scan, the
+// canonical gather/scatter, the rebuild at M ranks and the rebalance layout,
+// while run(), checkpoints, eviction and durable resume live in the driver.
+// BspSolver holds what the two share, the BSP virtual clock. Both produce
+// fields bit-identical to the serial DirectSolver — tested — and report the
+// bytes they moved, which the perf models' figures price.
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
-#include <utility>
+#include <string>
 #include <vector>
 
-#include "bte_problem.hpp"
+#include "distributed_solver.hpp"
 #include "mesh/partition.hpp"
-#include "resilience.hpp"
 #include "runtime/abft.hpp"
 #include "runtime/simmpi.hpp"
 
@@ -35,78 +40,81 @@ struct CommVolume {
   int64_t total_bytes = 0;      // accumulated over run()
 };
 
-class CellPartitionedSolver {
+// The cell and band strategies' shared clock: ranks run supersteps on one
+// BSP simulator, which carries the phase ledger, the heartbeat, the
+// straggler detector and the exchange watchdog. Recovery costs are charged
+// to it; the numerics never see it.
+class BspSolver : public DistributedSolver {
  public:
-  CellPartitionedSolver(const BteScenario& scenario, std::shared_ptr<const BtePhysics> physics,
-                        int nparts, mesh::PartitionMethod method = mesh::PartitionMethod::RCB);
-
-  void step();
-  void run(int nsteps);
-
-  // Arms recovery: the halo exchange retries dropped messages with bounded
-  // backoff, every step is validated (NaN/Inf scan over the distributed
-  // fields), and a failed validation rolls back to the last checkpoint and
-  // replays. Costs are charged to the BSP virtual clock.
-  void enable_resilience(const ResilienceOptions& options);
-  bool resilient() const { return resilient_; }
-  const ResilienceStats& resilience_stats() const { return rstats_; }
-  const StepHealth& last_health() const { return health_; }
-  int64_t step_index() const { return step_index_; }
-
-  // Durable restart: arms resilience from `options` (which must carry the
-  // durable dir the manifest was written into), validates the manifest
-  // against this solver's configuration, restores the newest readable
-  // on-disk generation (falling back across recorded paths), re-imports the
-  // injector's counter/event state, and re-checkpoints — after which run()
-  // continues bit-exactly where the killed or drained process left off.
-  void resume_from(const rt::RunManifest& manifest, const ResilienceOptions& options);
-
-  // ---- elastic shrink-to-survivors ----------------------------------------
   // Kills `rank` permanently; the death is discovered (heartbeat suspicion
-  // timeout) at the next run() step boundary, the survivors repartition the
-  // mesh via mesh::partition, rebuild their halo plans, and restart from the
-  // last checkpoint. Requires enable_resilience (eviction needs a rollback
-  // target). RankFailure injector policies drive the same path with a
-  // deterministically drawn victim.
-  void kill_rank(int32_t rank);
+  // timeout) at the next run() step boundary, the survivors rebuild at
+  // nparts()-1 ranks and restart from the last checkpoint. Requires
+  // enable_resilience (eviction needs a rollback target). RankFailure
+  // injector policies drive the same path with a deterministically drawn
+  // victim.
+  void kill_rank(int32_t rank) { request_kill(rank); }
 
   // Explicit deterministic performance fault: `rank` computes `factor`x
   // slower from now on (the SlowRank fault with a hand-placed victim). The
   // numerics are untouched — only the virtual clock feels it.
-  void inject_slow_rank(int32_t rank, double factor);
-
-  // Topology-independent snapshot in the canonical global layout ("I", "T",
-  // "Io", "beta"); an image taken at N ranks restores onto any M survivors.
-  rt::Snapshot snapshot() const;
-  void restore(const rt::Snapshot& snap);
-
-  // Per-cell owner multiplicity (how many ranks claim each cell); the
-  // eviction invariant tests assert every entry is exactly 1.
-  std::vector<int32_t> owner_counts() const;
+  void inject_slow_rank(int32_t rank, double factor) { bsp_.set_slow_rank(rank, factor); }
 
   int nparts() const { return nparts_; }
   const CommVolume& comm() const { return comm_; }
   // Virtual-time phase breakdown (measured compute, modeled communication).
   const rt::PhaseTimes& phases() const { return bsp_.phases(); }
   // Total virtual seconds on the BSP clock; equals phases().total() exactly.
-  double virtual_elapsed() const { return bsp_.elapsed(); }
+  double virtual_elapsed() const override { return bsp_.elapsed(); }
+  double phase_total() const override { return bsp_.phases().total(); }
   // Routes this solver's virtual-time phase spans to Chrome-trace track
   // `track` (see OBSERVABILITY.md); `label` names it in the exported file.
   void set_trace_track(int32_t track, const std::string& label = "") {
     bsp_.set_trace_track(track, label);
   }
 
+ protected:
+  BspSolver(const BteScenario& scenario, std::shared_ptr<const BtePhysics> physics, int nparts,
+            Sites sites);
+
+  void arm_strategy() override;
+  void charge_recovery(double seconds) override { bsp_.charge_recovery(seconds); }
+  double charge_loss_detection(int32_t victim) override;
+  double restore_charged(const rt::Snapshot& snap, Motion m) override;
+  int32_t chronic_straggler() const override { return bsp_.straggler().chronic_straggler(); }
+  int32_t take_hang_suspect() override;
+  void sync_fault_telemetry() override;
+  // Arms a one-shot speculative duplicate of the chronic straggler's shard on
+  // the least-loaded survivor, just before the compute superstep it covers.
+  void arm_speculation_if_chronic();
+  // Retransmits a message dropped at `site` with bounded exponential backoff
+  // (charged as fault stall). Returns false, with the step marked unhealthy,
+  // when the retry budget is spent.
+  bool deliver(rt::FaultInjector& fi, const char* site, const char* what);
+  // Charges wall seconds measured since `t0` to the audit phase.
+  void charge_audit_since(std::chrono::steady_clock::time_point t0);
+
+  rt::BspSimulator bsp_;
+  CommVolume comm_;
+};
+
+class CellPartitionedSolver : public BspSolver {
+ public:
+  CellPartitionedSolver(const BteScenario& scenario, std::shared_ptr<const BtePhysics> physics,
+                        int nparts, mesh::PartitionMethod method = mesh::PartitionMethod::RCB);
+
+  void step() override;
+
   // Gathers the distributed field back to global ordering for comparison.
-  std::vector<double> gather_intensity() const;
-  std::vector<double> gather_temperature() const;
+  std::vector<double> gather_intensity() const override;
+  std::vector<double> gather_temperature() const override;
+  // Per-cell owner multiplicity (how many ranks claim each cell).
+  std::vector<int32_t> owner_counts() const override;
 
  private:
   struct Rank {
     std::vector<int32_t> owned;            // global cell ids
     std::vector<int32_t> ghosts;           // global cell ids of halo copies
     std::vector<int32_t> global_to_local;  // -1 if not present on this rank
-    // Per-face neighbor resolution for owned cells: local index of the cell
-    // across each face (owned or ghost), -1 for boundary faces.
     std::vector<double> I, I_new;          // [(owned+ghost) * dofs]
     std::vector<double> Io, beta;          // [owned * nbands]
     std::vector<double> T;                 // [owned]
@@ -114,173 +122,83 @@ class CellPartitionedSolver {
     std::vector<size_t> all_owned;         // 0..owned.size()-1 (sweep subset arg)
   };
 
-  void build_topology(int nparts);
-  void evict_and_redistribute(int32_t victim);
-  // Dynamic rebalance away from a chronically slow (but alive) rank: the cell
-  // partitioner has no weighted mode, so the victim is *drained* — its whole
-  // shard moves to the survivors via the same repartition machinery as an
-  // eviction, but from a live snapshot: no suspicion timeout, no rollback, no
-  // replayed steps. Charged to the rebalance phase.
-  void rebalance_away(int32_t victim);
-  void maybe_mitigate_stragglers();
-  void arm_speculation_if_chronic();
-  void sync_straggler_stats();
+  // (Re)builds the rank layout: partition, halos, per-rank storage at
+  // T_init, and the per-step communication volume.
+  void rebuild(int nparts) override;
+  // The cell partitioner has no weighted mode, so the straggler is *drained*:
+  // its whole shard moves to the survivors (nparts()-1 ranks).
+  void relayout_away(int32_t victim) override;
+  void validate() override;
+  void gather_moments(std::vector<double>& Io, std::vector<double>& beta) const override;
+  void scatter(const std::vector<double>& I, const std::vector<double>& T,
+               const std::vector<double>& Io, const std::vector<double>& beta) override;
+  int64_t shrink_scratch() override;
+
   void exchange_halos();
-  void sweep_rank(Rank& r);
+  void copy_ghosts(Rank& r, const Rank& peer, const std::vector<int32_t>& cells);
   void sweep_owned_subset(Rank& r, const std::vector<size_t>& cells, std::vector<double>& out);
   void temperature_rank(Rank& r);
-  double wall_temperature(double x) const;
   void audit_sentinels();
-  void note_sdc_detection();
-  void validate();
-  void take_checkpoint(const std::string& cancel_reason = "");
-  void restore_checkpoint();
-  uint64_t config_hash() const;
-  void register_memory_reliefs();
 
-  BteScenario scen_;
-  std::shared_ptr<const BtePhysics> phys_;
   mesh::Mesh mesh_;
   mesh::PartitionMethod method_;
   std::vector<int32_t> part_;
-  int nparts_;
-  int nd_, nb_, dofs_;
+  int dofs_;
   double dt_;
   std::vector<Rank> ranks_;
-  CommVolume comm_;
   std::vector<double> g_scratch_;
-  rt::BspSimulator bsp_;
   std::vector<rt::Message> halo_messages_;
 
-  bool resilient_ = false;
-  ResilienceOptions res_;
-  ResilienceStats rstats_;
-  ResilienceStats published_;  // last rstats_ mirrored into the metrics registry
-  StepHealth health_;
-  rt::CheckpointStore store_;
-  int64_t step_index_ = 0;
-  int32_t pending_kill_ = -1;
-
-  // ---- SDC defense state ----
-  std::vector<int32_t> sentinel_cells_;   // global cell ids, redundant recompute
+  // ---- SDC defense scratch ----
   std::vector<double> sentinel_scratch_;  // recompute target ([owned * dofs])
   std::vector<size_t> sentinel_subset_;   // per-rank local indices, reused
-  double prev_energy_ = 0.0;
-  bool have_prev_energy_ = false;
 };
 
-class BandPartitionedSolver {
+class BandPartitionedSolver : public BspSolver {
  public:
   BandPartitionedSolver(const BteScenario& scenario, std::shared_ptr<const BtePhysics> physics,
                         int nparts);
 
-  void step();
-  void run(int nsteps);
+  void step() override;
 
-  // Arms recovery for the band-sum gather (the solver's only cross-rank data
-  // motion): dropped contributions are re-gathered with bounded backoff,
-  // corrupted ones are caught by the per-step NaN/Inf validation and undone
-  // by rollback + replay from the last checkpoint.
-  void enable_resilience(const ResilienceOptions& options);
-  bool resilient() const { return resilient_; }
-  const ResilienceStats& resilience_stats() const { return rstats_; }
-  const StepHealth& last_health() const { return health_; }
-  int64_t step_index() const { return step_index_; }
-
-  // Durable restart from a manifest; see CellPartitionedSolver::resume_from.
-  void resume_from(const rt::RunManifest& manifest, const ResilienceOptions& options);
-
-  // Elastic shrink: kills `rank` permanently; at the next run() step boundary
-  // the survivors rebalance the band ownership over M = nparts()-1 ranks and
-  // restart from the last (topology-independent) checkpoint. Requires
-  // enable_resilience. RankFailure injector policies drive the same path.
-  void kill_rank(int32_t rank);
-
-  // Explicit deterministic performance fault: `rank` computes `factor`x
-  // slower from now on (SlowRank with a hand-placed victim).
-  void inject_slow_rank(int32_t rank, double factor);
-
-  // Canonical-global-layout snapshot/restore (N-to-M restart); images are
-  // interchangeable with CellPartitionedSolver / MultiGpuSolver snapshots.
-  rt::Snapshot snapshot() const;
-  void restore(const rt::Snapshot& snap);
-
-  // Per-band owner multiplicity; eviction invariant tests assert all 1.
-  std::vector<int32_t> owner_counts() const;
-
-  int nparts() const { return nparts_; }
-  const CommVolume& comm() const { return comm_; }
-  const rt::PhaseTimes& phases() const { return bsp_.phases(); }
-  // Total virtual seconds on the BSP clock; equals phases().total() exactly.
-  double virtual_elapsed() const { return bsp_.elapsed(); }
-  // Routes this solver's virtual-time phase spans to Chrome-trace track
-  // `track` (see OBSERVABILITY.md); `label` names it in the exported file.
-  void set_trace_track(int32_t track, const std::string& label = "") {
-    bsp_.set_trace_track(track, label);
-  }
-  std::vector<double> gather_intensity() const;
+  std::vector<double> gather_intensity() const override { return slices_.gather_intensity(); }
+  std::vector<double> gather_temperature() const override { return T_; }
   const std::vector<double>& temperature() const { return T_; }
+  // Per-band owner multiplicity.
+  std::vector<int32_t> owner_counts() const override { return slices_.owner_counts(); }
 
  private:
-  struct Rank {
-    int b_lo = 0, b_hi = 0;        // owned band range [b_lo, b_hi)
-    std::vector<double> I, I_new;  // [cells * dofs_local]
-    std::vector<double> Io, beta;  // [cells * bands_local]
-    // ABFT ledger over this rank's gather payload (blocks = cell ranges x
-    // the rank's band slice) and the payload buffer itself, reused per step.
+  // ABFT ledger over one rank's gather payload (blocks = cell ranges x the
+  // rank's band slice) and the payload buffer itself, reused per step.
+  struct Wire {
     rt::BlockLedger gledger;
     std::vector<double> payload;
   };
 
-  void build_topology(int nparts);
-  // Rebuilds per-rank storage for explicit contiguous band ranges (ranges[p]
-  // = [b_lo, b_hi)); build_topology computes the equal split, the weighted
-  // rebalance a derated one. The caller restores state afterwards.
-  void rebuild_ranks(const std::vector<std::pair<int, int>>& ranges);
-  void evict_and_redistribute(int32_t victim);
-  // Dynamic rebalance: the chronic straggler keeps a band share inversely
-  // proportional to its observed slowdown; survivors absorb the rest. State
-  // moves via a live snapshot (bit-exact, no replay), charged to rebalance.
-  void rebalance_away(int32_t victim);
-  void maybe_mitigate_stragglers();
-  void arm_speculation_if_chronic();
-  void sync_straggler_stats();
-  void sweep_rank(Rank& r);
-  void gather_rank(Rank& r);
-  void reduce_block(Rank& r, size_t begin, size_t end);
-  void audit_sentinels();
-  void note_sdc_detection();
-  double wall_temperature(double x) const;
-  void validate();
-  void take_checkpoint(const std::string& cancel_reason = "");
-  void restore_checkpoint();
-  uint64_t config_hash() const;
-  void register_memory_reliefs();
+  void rebuild(int nparts) override { relayout(slices_.equal_split(nparts)); }
+  void relayout(const BandSlices::Ranges& ranges);
+  // Derate, not drain: bands are divisible, so the straggler keeps a share of
+  // the spectrum inversely proportional to its observed slowdown and the
+  // survivors absorb the rest; the fleet keeps its rank count.
+  void relayout_away(int32_t victim) override;
+  void validate() override;
+  void gather_moments(std::vector<double>& Io, std::vector<double>& beta) const override {
+    slices_.gather_moments(Io, beta);
+  }
+  void scatter(const std::vector<double>& I, const std::vector<double>& T,
+               const std::vector<double>& Io, const std::vector<double>& beta) override;
+  int64_t shrink_scratch() override;
 
-  BteScenario scen_;
-  std::shared_ptr<const BtePhysics> phys_;
-  int nparts_;
-  int nx_, ny_, nd_, nb_;
+  void sweep_rank(BandSlices::Slice& r);
+  void gather_rank(size_t p);
+  void audit_sentinels();
+
+  int nx_, ny_;
   double hx_, hy_, dt_;
-  std::vector<Rank> ranks_;
+  BandSlices slices_;
+  std::vector<Wire> wire_;
   std::vector<double> T_;        // replicated temperature (each rank holds a copy)
   std::vector<double> G_global_; // gathered band sums [cells * nb]
-  CommVolume comm_;
-  rt::BspSimulator bsp_;
-
-  bool resilient_ = false;
-  ResilienceOptions res_;
-  ResilienceStats rstats_;
-  ResilienceStats published_;  // last rstats_ mirrored into the metrics registry
-  StepHealth health_;
-  rt::CheckpointStore store_;
-  int64_t step_index_ = 0;
-  int32_t pending_kill_ = -1;
-
-  // ---- SDC defense state ----
-  std::vector<int32_t> sentinel_cells_;  // cell ids whose G row is re-reduced
-  double prev_energy_ = 0.0;
-  bool have_prev_energy_ = false;
 };
 
 }  // namespace finch::bte

@@ -1,7 +1,8 @@
 #pragma once
 // Shared recovery machinery for the distributed BTE solvers.
 //
-// Every resilient solver follows the same state machine per step:
+// Every resilient solver follows the same state machine per step, run once
+// for all strategies by DistributedSolver::run (distributed_solver.hpp):
 //
 //   RUN ──fault site throws / drops──▶ RETRY (bounded exponential backoff)
 //    │                                    │ budget exhausted

@@ -54,71 +54,39 @@ AnySolver::AnySolver(const std::string& solver, const BteScenario& scenario,
   // at admission, not mid-run. The distributed solvers execute hand-written
   // sweeps (no codegen), so only the VM-equivalent path exists for them —
   // "native"/"auto" are accepted and degrade to that path (CODEGEN.md §6;
-  // engine unification is ROADMAP item 3).
+  // engine unification is ROADMAP item 2).
   if (!scenario.backend.empty()) (void)dsl::backend_from_string(scenario.backend);
   if (solver == "cell") {
-    cell_ = std::make_unique<CellPartitionedSolver>(scenario, physics, nparts);
+    solver_ = std::make_unique<CellPartitionedSolver>(scenario, std::move(physics), nparts);
   } else if (solver == "band") {
-    band_ = std::make_unique<BandPartitionedSolver>(scenario, physics, nparts);
+    solver_ = std::make_unique<BandPartitionedSolver>(scenario, std::move(physics), nparts);
   } else if (solver == "mgpu") {
-    mgpu_ = std::make_unique<MultiGpuSolver>(scenario, physics, nparts);
+    solver_ = std::make_unique<MultiGpuSolver>(scenario, std::move(physics), nparts);
   } else {
     throw std::invalid_argument("AnySolver: unknown solver '" + solver + "'");
   }
 }
 
 void AnySolver::enable_resilience(const ResilienceOptions& options) {
-  if (cell_) cell_->enable_resilience(options);
-  if (band_) band_->enable_resilience(options);
-  if (mgpu_) mgpu_->enable_resilience(options);
+  solver_->enable_resilience(options);
 }
 
 void AnySolver::resume_from(const rt::RunManifest& manifest, const ResilienceOptions& options) {
-  if (cell_) cell_->resume_from(manifest, options);
-  if (band_) band_->resume_from(manifest, options);
-  if (mgpu_) mgpu_->resume_from(manifest, options);
+  solver_->resume_from(manifest, options);
 }
 
-void AnySolver::run(int nsteps) {
-  if (cell_) cell_->run(nsteps);
-  if (band_) band_->run(nsteps);
-  if (mgpu_) mgpu_->run(nsteps);
-}
+void AnySolver::run(int nsteps) { solver_->run(nsteps); }
 
-int64_t AnySolver::step_index() const {
-  if (cell_) return cell_->step_index();
-  if (band_) return band_->step_index();
-  return mgpu_->step_index();
-}
+int64_t AnySolver::step_index() const { return solver_->step_index(); }
 
-const ResilienceStats& AnySolver::resilience_stats() const {
-  if (cell_) return cell_->resilience_stats();
-  if (band_) return band_->resilience_stats();
-  return mgpu_->resilience_stats();
-}
+const ResilienceStats& AnySolver::resilience_stats() const { return solver_->resilience_stats(); }
 
-std::vector<double> AnySolver::temperature() const {
-  if (cell_) return cell_->gather_temperature();
-  if (band_) return band_->temperature();
-  return mgpu_->temperature();
-}
+std::vector<double> AnySolver::temperature() const { return solver_->gather_temperature(); }
 
-std::vector<double> AnySolver::intensity() const {
-  if (cell_) return cell_->gather_intensity();
-  if (band_) return band_->gather_intensity();
-  return mgpu_->gather_intensity();
-}
+std::vector<double> AnySolver::intensity() const { return solver_->gather_intensity(); }
 
-double AnySolver::virtual_elapsed() const {
-  if (cell_) return cell_->virtual_elapsed();
-  if (band_) return band_->virtual_elapsed();
-  return mgpu_->virtual_elapsed();
-}
+double AnySolver::virtual_elapsed() const { return solver_->virtual_elapsed(); }
 
-double AnySolver::phase_total() const {
-  if (cell_) return cell_->phases().total();
-  if (band_) return band_->phases().total();
-  return mgpu_->phases().total();
-}
+double AnySolver::phase_total() const { return solver_->phase_total(); }
 
 }  // namespace finch::bte

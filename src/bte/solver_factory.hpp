@@ -4,10 +4,10 @@
 //
 // The job supervisor (src/svc) and the campaign drivers dispatch on a solver
 // *name* — "cell" | "band" | "mgpu" — the same strings the chaos schedules
-// and run manifests record. AnySolver type-erases that dispatch once: one
-// handle that constructs the named solver, arms or resumes resilience, runs,
-// and gathers the canonical global fields, so every driver stops repeating
-// the three-way if/else ladder of chaos_campaign.cpp.
+// and run manifests record. AnySolver resolves that name once: one handle
+// that constructs the named solver, arms or resumes resilience, runs, and
+// gathers the canonical global fields through the shared DistributedSolver
+// driver, so no driver repeats a three-way if/else ladder.
 //
 // estimate_memory_demand() is the admission-control side of the fallback
 // ladder: a deliberately conservative upper bound on what a configuration
@@ -60,7 +60,7 @@ struct MemoryDemand {
 MemoryDemand estimate_memory_demand(const std::string& solver, const BteScenario& scen,
                                     const BtePhysics& phys, int nparts);
 
-// Type-erased handle over CellPartitionedSolver / BandPartitionedSolver /
+// Handle over CellPartitionedSolver / BandPartitionedSolver /
 // MultiGpuSolver, keyed by the canonical solver name. Throws
 // std::invalid_argument for an unknown name.
 class AnySolver {
@@ -87,9 +87,7 @@ class AnySolver {
  private:
   std::string kind_;
   int nparts_ = 0;
-  std::unique_ptr<CellPartitionedSolver> cell_;
-  std::unique_ptr<BandPartitionedSolver> band_;
-  std::unique_ptr<MultiGpuSolver> mgpu_;
+  std::unique_ptr<DistributedSolver> solver_;
 };
 
 }  // namespace finch::bte

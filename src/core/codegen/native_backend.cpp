@@ -257,7 +257,8 @@ class Emitter {
     std::string s;
     for (int k = 0; k < b.n_idx; ++k) {
       if (k > 0) s += " + ";
-      s += "i" + std::to_string(b.loop_slot[static_cast<size_t>(k)]);
+      s += "i";
+      s += std::to_string(b.loop_slot[static_cast<size_t>(k)]);
       if (b.stride[static_cast<size_t>(k)] != 1)
         s += "*" + std::to_string(b.stride[static_cast<size_t>(k)]);
     }
@@ -429,7 +430,8 @@ class Emitter {
     std::string close;
     std::string cur = ind;
     for (const auto& lv : loops_) {
-      const std::string v = "i" + std::to_string(lv.slot);
+      std::string v = "i";
+      v += std::to_string(lv.slot);
       out += cur + "for (int64_t " + v + " = 0; " + v + " < " + std::to_string(lv.extent) + "; ++" +
              v + ") {\n";
       close = cur + "}\n" + close;

@@ -413,7 +413,10 @@ JobOutcome Supervisor::run_job(const QueueEntry& entry) {
     }
   }
 
-  double job_virtual = 0.0;
+  // Attempt compute and retry backoff are summed apart: the job's virtual time
+  // is (Σ attempt virtual_s) + (Σ backoff_s), each summed in attempt order.
+  double job_compute = 0.0;
+  double job_backoff = 0.0;
   double pending_backoff = 0.0;
   int failures = 0;
   for (int attempt = 0;; ++attempt) {
@@ -430,7 +433,9 @@ JobOutcome Supervisor::run_job(const QueueEntry& entry) {
         engine_.run_attempt(rj, attempt, seed, dir, cancel_reason, spec.faults, options_.memory);
     r.rec.backoff_s = pending_backoff;
     pending_backoff = 0.0;
-    job_virtual += r.rec.backoff_s + r.rec.virtual_s;
+    job_compute += r.rec.virtual_s;
+    job_backoff += r.rec.backoff_s;
+    const double job_virtual = job_compute + job_backoff;
     out.attempts.push_back(r.rec);
     out.stats = r.stats;
     out.final_step = r.rec.end_step;
@@ -467,7 +472,7 @@ JobOutcome Supervisor::run_job(const QueueEntry& entry) {
         return out;
       }
       case AttemptEngine::Next::Retry:
-        // Charged into job_virtual when the next attempt records it.
+        // Charged into job_backoff when the next attempt records it.
         pending_backoff = backoff_with_jitter(options_.retry, spec.id, failures - 1);
         mx.counter("svc.retries").add(1.0);
         mx.counter("svc.backoff_seconds").add(pending_backoff);

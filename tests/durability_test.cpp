@@ -23,6 +23,7 @@
 #include "bte/multi_gpu_solver.hpp"
 #include "bte/partitioned_solver.hpp"
 #include "bte/resilience.hpp"
+#include "bte/solver_factory.hpp"
 #include "runtime/cancel.hpp"
 #include "runtime/chaos.hpp"
 #include "runtime/checkpoint.hpp"
@@ -525,21 +526,39 @@ TEST(DurableResume, MultiGpuResumesBitExactUnderResourceFaults) {
 TEST(DurableResume, ManifestForTheWrongSolverOrConfigIsRefused) {
   const auto scen = tiny_scenario();
   const auto phys = tiny_physics();
-  const std::string dir = fresh_dir("resume_mismatch");
-  {
-    CellPartitionedSolver s(scen, phys, 2);
-    s.enable_resilience(durable_options(dir));
-    s.run(4);
+  // config_hash of tiny_scenario() as recorded by manifests written before
+  // the solvers shared one run driver: an old manifest must still resume.
+  constexpr uint64_t kTinyConfigHash = 0xce60ecebec50e871ULL;
+  const std::vector<std::string> kinds = {"cell", "band", "mgpu"};
+  for (const std::string& writer : kinds) {
+    SCOPED_TRACE("writer " + writer);
+    const std::string dir = fresh_dir("resume_mismatch_" + writer);
+    {
+      AnySolver s(writer, scen, phys, 2);
+      s.enable_resilience(durable_options(dir));
+      s.run(4);
+    }
+    const rt::RunManifest manifest = rt::read_manifest(dir + "/manifest.json");
+    EXPECT_EQ(manifest.solver, writer);
+    EXPECT_EQ(manifest.config_hash, kTinyConfigHash);
+
+    // Writer x resumer matrix: only the writing solver may resume.
+    for (const std::string& resumer : kinds) {
+      SCOPED_TRACE("resumer " + resumer);
+      AnySolver r(resumer, scen, phys, 2);
+      if (resumer == writer) {
+        EXPECT_NO_THROW(r.resume_from(manifest, durable_options(dir)));
+        EXPECT_EQ(r.step_index(), 4);
+      } else {
+        EXPECT_THROW(r.resume_from(manifest, durable_options(dir)), rt::CheckpointError);
+      }
+    }
+
+    BteScenario other = scen;
+    other.nx = 10;
+    AnySolver wrong_config(writer, other, phys, 2);
+    EXPECT_THROW(wrong_config.resume_from(manifest, durable_options(dir)), rt::CheckpointError);
   }
-  const rt::RunManifest manifest = rt::read_manifest(dir + "/manifest.json");
-
-  BandPartitionedSolver wrong_solver(scen, phys, 2);
-  EXPECT_THROW(wrong_solver.resume_from(manifest, durable_options(dir)), rt::CheckpointError);
-
-  BteScenario other = scen;
-  other.nx = 10;
-  CellPartitionedSolver wrong_config(other, phys, 2);
-  EXPECT_THROW(wrong_config.resume_from(manifest, durable_options(dir)), rt::CheckpointError);
 }
 
 TEST(DurableResume, MissingNewestGenerationFallsBackCorruptAllFails) {
