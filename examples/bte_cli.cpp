@@ -40,6 +40,8 @@
 //   4  quarantined      the poison circuit breaker tripped (batch only)
 //   5  rejected         backpressure refused admission (bounded queue full)
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -121,6 +123,22 @@ void usage() {
       "            5 rejected by backpressure\n");
 }
 
+// Parses all of `v` as a finite T that is > 0, or >= 0 when `zero_ok` (the
+// flags where 0 means "off"); otherwise names the flag and fails.
+template <typename T>
+bool parse_number(const std::string& flag, const char* v, bool zero_ok, T& out) {
+  T x{};
+  const char* end = v + std::strlen(v);
+  const auto [p, ec] = std::from_chars(v, end, x);
+  if (ec != std::errc() || p != end || !std::isfinite(static_cast<double>(x)) ||
+      !(x > 0 || (zero_ok && x == 0))) {
+    std::fprintf(stderr, "invalid value for %s: %s\n", flag.c_str(), v);
+    return false;
+  }
+  out = x;
+  return true;
+}
+
 bool parse(int argc, char** argv, Options& o) {
   for (int i = 1; i < argc; ++i) {
     auto next = [&](const char* what) -> const char* {
@@ -132,6 +150,10 @@ bool parse(int argc, char** argv, Options& o) {
     };
     const std::string a = argv[i];
     const char* v = nullptr;
+    auto number = [&](auto& out, bool zero_ok) {
+      const char* value = next(a.c_str());
+      return value != nullptr && parse_number(a, value, zero_ok, out);
+    };
     if (a == "--help" || a == "-h") return false;
     if (a == "--scenario") {
       if ((v = next("--scenario")) == nullptr) return false;
@@ -139,12 +161,12 @@ bool parse(int argc, char** argv, Options& o) {
       else if (std::strcmp(v, "corner") == 0) o.scenario = BteScenario::corner();
       else if (std::strcmp(v, "paper") == 0) o.scenario = BteScenario::paper_hotspot();
       else { std::fprintf(stderr, "unknown scenario %s\n", v); return false; }
-    } else if (a == "--nx") { if ((v = next(a.c_str())) == nullptr) return false; o.scenario.nx = std::atoi(v); }
-    else if (a == "--ny") { if ((v = next(a.c_str())) == nullptr) return false; o.scenario.ny = std::atoi(v); }
-    else if (a == "--dirs") { if ((v = next(a.c_str())) == nullptr) return false; o.scenario.ndirs = std::atoi(v); }
-    else if (a == "--bands") { if ((v = next(a.c_str())) == nullptr) return false; o.scenario.nbands = std::atoi(v); }
-    else if (a == "--steps") { if ((v = next(a.c_str())) == nullptr) return false; o.scenario.nsteps = std::atoi(v); }
-    else if (a == "--dt") { if ((v = next(a.c_str())) == nullptr) return false; o.scenario.dt = std::atof(v); }
+    } else if (a == "--nx") { if (!number(o.scenario.nx, false)) return false; }
+    else if (a == "--ny") { if (!number(o.scenario.ny, false)) return false; }
+    else if (a == "--dirs") { if (!number(o.scenario.ndirs, false)) return false; }
+    else if (a == "--bands") { if (!number(o.scenario.nbands, false)) return false; }
+    else if (a == "--steps") { if (!number(o.scenario.nsteps, false)) return false; }
+    else if (a == "--dt") { if (!number(o.scenario.dt, false)) return false; }
     else if (a == "--solver") { if ((v = next(a.c_str())) == nullptr) return false; o.solver = v; }
     else if (a == "--backend") {
       if ((v = next(a.c_str())) == nullptr) return false;
@@ -154,19 +176,19 @@ bool parse(int argc, char** argv, Options& o) {
       }
       o.scenario.backend = v;
     }
-    else if (a == "--threads") { if ((v = next(a.c_str())) == nullptr) return false; o.threads = std::atoi(v); }
-    else if (a == "--devices") { if ((v = next(a.c_str())) == nullptr) return false; o.devices = std::atoi(v); }
-    else if (a == "--parts") { if ((v = next(a.c_str())) == nullptr) return false; o.parts = std::atoi(v); }
+    else if (a == "--threads") { if (!number(o.threads, false)) return false; }
+    else if (a == "--devices") { if (!number(o.devices, false)) return false; }
+    else if (a == "--parts") { if (!number(o.parts, false)) return false; }
     else if (a == "--vtk") { if ((v = next(a.c_str())) == nullptr) return false; o.vtk = v; }
     else if (a == "--csv") { if ((v = next(a.c_str())) == nullptr) return false; o.csv = v; }
     else if (a == "--durable") { if ((v = next(a.c_str())) == nullptr) return false; o.durable = v; }
-    else if (a == "--ckpt-interval") { if ((v = next(a.c_str())) == nullptr) return false; o.ckpt_interval = std::atoi(v); }
+    else if (a == "--ckpt-interval") { if (!number(o.ckpt_interval, true)) return false; }
     else if (a == "--resume") { o.resume = true; }
-    else if (a == "--cancel-after-steps") { if ((v = next(a.c_str())) == nullptr) return false; o.cancel_after_steps = std::atol(v); }
+    else if (a == "--cancel-after-steps") { if (!number(o.cancel_after_steps, true)) return false; }
     else if (a == "--jobs") { if ((v = next(a.c_str())) == nullptr) return false; o.jobs = v; }
-    else if (a == "--budget-mb") { if ((v = next(a.c_str())) == nullptr) return false; o.budget_mb = std::atol(v); }
-    else if (a == "--max-concurrency") { if ((v = next(a.c_str())) == nullptr) return false; o.max_concurrency = std::atoi(v); }
-    else if (a == "--queue-capacity") { if ((v = next(a.c_str())) == nullptr) return false; o.queue_capacity = std::atoi(v); }
+    else if (a == "--budget-mb") { if (!number(o.budget_mb, true)) return false; }
+    else if (a == "--max-concurrency") { if (!number(o.max_concurrency, false)) return false; }
+    else if (a == "--queue-capacity") { if (!number(o.queue_capacity, true)) return false; }
     else { std::fprintf(stderr, "unknown option %s\n", a.c_str()); return false; }
   }
   return true;

@@ -5,6 +5,79 @@
 
 namespace finch::bte {
 
+namespace {
+
+// Equilibrium initial state of both builders: every direction of I and Io at
+// I0(b, T0), beta at beta(b, T0), T at T0.
+void set_equilibrium_initials(dsl::Problem& p, const BtePhysics& ph, double T0) {
+  const int nb = ph.num_bands();
+  std::vector<double> I0_init(static_cast<size_t>(nb)), beta_init(static_cast<size_t>(nb));
+  for (int b = 0; b < nb; ++b) {
+    I0_init[static_cast<size_t>(b)] = ph.table.I0(b, T0);
+    beta_init[static_cast<size_t>(b)] = ph.table.beta(b, T0);
+  }
+  p.initial("I", [I0_init](int32_t, std::span<const int32_t> idx) {
+    return I0_init[static_cast<size_t>(idx[1])];  // idx = (d, b)
+  });
+  p.initial("Io", [I0_init](int32_t, std::span<const int32_t> idx) {
+    return I0_init[static_cast<size_t>(idx[0])];
+  });
+  p.initial("beta", [beta_init](int32_t, std::span<const int32_t> idx) {
+    return beta_init[static_cast<size_t>(idx[0])];
+  });
+  p.initial("T", [T0](int32_t, std::span<const int32_t>) { return T0; });
+}
+
+// Physical outward flux integrand f = vg (s.n) I_face with the face value
+// upwinded: outgoing directions take the cell value, incoming take the
+// ghost (wall-equilibrium or reflected) value — Eq. (6).
+double isothermal_flux(const BtePhysics& phys, const fvm::BoundaryContext& ctx, double T_wall) {
+  const mesh::Vec3& s = phys.directions.s[static_cast<size_t>(ctx.dir)];
+  const double sdotn = s.dot(ctx.normal);
+  const double vg = phys.bands[ctx.band].vg;
+  if (sdotn > 0) return vg * sdotn * ctx.fields->get("I").at(ctx.cell, ctx.dof);
+  return vg * sdotn * phys.table.I0(ctx.band, T_wall);
+}
+
+double symmetric_flux(const BtePhysics& phys, const fvm::BoundaryContext& ctx) {
+  const mesh::Vec3& s = phys.directions.s[static_cast<size_t>(ctx.dir)];
+  const double sdotn = s.dot(ctx.normal);
+  const double vg = phys.bands[ctx.band].vg;
+  const auto& I = ctx.fields->get("I");
+  if (sdotn > 0) return vg * sdotn * I.at(ctx.cell, ctx.dof);
+  const int r = phys.directions.reflect(ctx.dir, ctx.normal);
+  const int32_t rdof = r + phys.num_dirs() * ctx.band;
+  return vg * sdotn * I.at(ctx.cell, rdof);
+}
+
+// Post-step temperature update (CPU): per cell, solve T from the
+// direction-weighted band sums of I, then refresh Io and beta at the new T.
+void update_temperature(const BtePhysics& phys, dsl::Problem& prob) {
+  const int nb = phys.num_bands();
+  const int nd = phys.num_dirs();
+  auto& I = prob.fields().get("I");
+  auto& Io = prob.fields().get("Io");
+  auto& beta = prob.fields().get("beta");
+  auto& T = prob.fields().get("T");
+  std::vector<double> G(static_cast<size_t>(nb));
+  for (int32_t c = 0; c < I.num_cells(); ++c) {
+    for (int b = 0; b < nb; ++b) {
+      double g = 0.0;
+      for (int d = 0; d < nd; ++d)
+        g += phys.directions.weight[static_cast<size_t>(d)] * I.at(c, d + nd * b);
+      G[static_cast<size_t>(b)] = g;
+    }
+    const double Tc = phys.table.solve_temperature(G, T.at(c, 0));
+    T.at(c, 0) = Tc;
+    for (int b = 0; b < nb; ++b) {
+      Io.at(c, b) = phys.table.I0(b, Tc);
+      beta.at(c, b) = phys.table.beta(b, Tc);
+    }
+  }
+}
+
+}  // namespace
+
 BteScenario BteScenario::paper_hotspot() {
   BteScenario s;
   s.nx = s.ny = 120;
@@ -113,86 +186,30 @@ void BteProblem::build() {
   p.conservation_form(
       "I", "(Io[b] - I[d,b]) * beta[b] - surface(vg[b] * upwind([Sx[d];Sy[d]], I[d,b]))");
 
-  // ---- initial equilibrium at T_init ---------------------------------------
-  const double T0 = scenario_.T_init;
-  std::vector<double> I0_init(static_cast<size_t>(nb)), beta_init(static_cast<size_t>(nb));
-  for (int b = 0; b < nb; ++b) {
-    I0_init[static_cast<size_t>(b)] = ph.table.I0(b, T0);
-    beta_init[static_cast<size_t>(b)] = ph.table.beta(b, T0);
-  }
-  p.initial("I", [I0_init](int32_t, std::span<const int32_t> idx) {
-    return I0_init[static_cast<size_t>(idx[1])];  // idx = (d, b)
-  });
-  p.initial("Io", [I0_init](int32_t, std::span<const int32_t> idx) {
-    return I0_init[static_cast<size_t>(idx[0])];
-  });
-  p.initial("beta", [beta_init](int32_t, std::span<const int32_t> idx) {
-    return beta_init[static_cast<size_t>(idx[0])];
-  });
-  p.initial("T", [T0](int32_t, std::span<const int32_t>) { return T0; });
+  set_equilibrium_initials(p, ph, scenario_.T_init);
 
   // ---- boundary callbacks (CPU, as in the paper) ----------------------------
   const BtePhysics* phys = physics_.get();
   const BteScenario scen = scenario_;
-
-  // Physical outward flux integrand f = vg (s.n) I_face with the face value
-  // upwinded: outgoing directions take the cell value, incoming take the
-  // ghost (wall-equilibrium or reflected) value — Eq. (6).
-  auto isothermal = [phys](const fvm::BoundaryContext& ctx, double T_wall) {
-    const mesh::Vec3& s = phys->directions.s[static_cast<size_t>(ctx.dir)];
-    const double sdotn = s.dot(ctx.normal);
-    const double vg = phys->bands[ctx.band].vg;
-    if (sdotn > 0) return vg * sdotn * ctx.fields->get("I").at(ctx.cell, ctx.dof);
-    return vg * sdotn * phys->table.I0(ctx.band, T_wall);
-  };
-  auto symmetric = [phys](const fvm::BoundaryContext& ctx) {
-    const mesh::Vec3& s = phys->directions.s[static_cast<size_t>(ctx.dir)];
-    const double sdotn = s.dot(ctx.normal);
-    const double vg = phys->bands[ctx.band].vg;
-    const auto& I = ctx.fields->get("I");
-    if (sdotn > 0) return vg * sdotn * I.at(ctx.cell, ctx.dof);
-    const int r = phys->directions.reflect(ctx.dir, ctx.normal);
-    const int32_t rdof = r + phys->num_dirs() * ctx.band;
-    return vg * sdotn * I.at(ctx.cell, rdof);
-  };
+  auto symmetric = [phys](const fvm::BoundaryContext& ctx) { return symmetric_flux(*phys, ctx); };
 
   // Region 1 (y-min): cold isothermal wall at T_cold.
   p.boundary("I", 1, dsl::BcType::Flux, "isothermal_cold",
-             [isothermal, scen](const fvm::BoundaryContext& ctx) {
-               return isothermal(ctx, scen.T_cold);
+             [phys, scen](const fvm::BoundaryContext& ctx) {
+               return isothermal_flux(*phys, ctx, scen.T_cold);
              });
   // Region 2 (y-max): isothermal with the centered Gaussian hot spot.
   p.boundary("I", 2, dsl::BcType::Flux, "isothermal_hot",
-             [isothermal, scen](const fvm::BoundaryContext& ctx) {
+             [phys, scen](const fvm::BoundaryContext& ctx) {
                const double x = ctx.mesh->face(ctx.face).centroid.x;
-               return isothermal(ctx, scen.wall_temperature(x));
+               return isothermal_flux(*phys, ctx, scen.wall_temperature(x));
              });
   // Regions 3/4 (x-min/x-max): symmetry (specular reflection).
   p.boundary("I", 3, dsl::BcType::Flux, "symmetry", symmetric);
   p.boundary("I", 4, dsl::BcType::Flux, "symmetry", symmetric);
 
   // ---- temperature update (post-step, CPU) ----------------------------------
-  p.post_step([phys, nb, nd](dsl::Problem& prob, double) {
-    auto& I = prob.fields().get("I");
-    auto& Io = prob.fields().get("Io");
-    auto& beta = prob.fields().get("beta");
-    auto& T = prob.fields().get("T");
-    std::vector<double> G(static_cast<size_t>(nb));
-    for (int32_t c = 0; c < I.num_cells(); ++c) {
-      for (int b = 0; b < nb; ++b) {
-        double g = 0.0;
-        for (int d = 0; d < nd; ++d)
-          g += phys->directions.weight[static_cast<size_t>(d)] * I.at(c, d + nd * b);
-        G[static_cast<size_t>(b)] = g;
-      }
-      const double Tc = phys->table.solve_temperature(G, T.at(c, 0));
-      T.at(c, 0) = Tc;
-      for (int b = 0; b < nb; ++b) {
-        Io.at(c, b) = phys->table.I0(b, Tc);
-        beta.at(c, b) = phys->table.beta(b, Tc);
-      }
-    }
-  });
+  p.post_step([phys](dsl::Problem& prob, double) { update_temperature(*phys, prob); });
   // Movement annotations for the GPU target: the CPU post-step reads I and
   // produces Io/beta (T remains host-only, the kernel never touches it).
   p.post_step_touches({"I"}, {"Io", "beta"});
@@ -260,78 +277,27 @@ void BteProblem3d::build() {
   p.conservation_form(
       "I", "(Io[b] - I[d,b]) * beta[b] - surface(vg[b] * upwind([Sx[d];Sy[d];Sz[d]], I[d,b]))");
 
-  const double T0 = scenario_.T_init;
-  std::vector<double> I0_init(static_cast<size_t>(nb)), beta_init(static_cast<size_t>(nb));
-  for (int b = 0; b < nb; ++b) {
-    I0_init[static_cast<size_t>(b)] = ph.table.I0(b, T0);
-    beta_init[static_cast<size_t>(b)] = ph.table.beta(b, T0);
-  }
-  p.initial("I", [I0_init](int32_t, std::span<const int32_t> idx) {
-    return I0_init[static_cast<size_t>(idx[1])];
-  });
-  p.initial("Io", [I0_init](int32_t, std::span<const int32_t> idx) {
-    return I0_init[static_cast<size_t>(idx[0])];
-  });
-  p.initial("beta", [beta_init](int32_t, std::span<const int32_t> idx) {
-    return beta_init[static_cast<size_t>(idx[0])];
-  });
-  p.initial("T", [T0](int32_t, std::span<const int32_t>) { return T0; });
+  set_equilibrium_initials(p, ph, scenario_.T_init);
 
   const BtePhysics* phys = physics_.get();
   const Bte3dScenario scen = scenario_;
   auto self = this;
-
-  auto isothermal = [phys](const fvm::BoundaryContext& ctx, double T_wall) {
-    const mesh::Vec3& s = phys->directions.s[static_cast<size_t>(ctx.dir)];
-    const double sdotn = s.dot(ctx.normal);
-    const double vg = phys->bands[ctx.band].vg;
-    if (sdotn > 0) return vg * sdotn * ctx.fields->get("I").at(ctx.cell, ctx.dof);
-    return vg * sdotn * phys->table.I0(ctx.band, T_wall);
-  };
-  auto symmetric = [phys](const fvm::BoundaryContext& ctx) {
-    const mesh::Vec3& s = phys->directions.s[static_cast<size_t>(ctx.dir)];
-    const double sdotn = s.dot(ctx.normal);
-    const double vg = phys->bands[ctx.band].vg;
-    const auto& I = ctx.fields->get("I");
-    if (sdotn > 0) return vg * sdotn * I.at(ctx.cell, ctx.dof);
-    const int r = phys->directions.reflect(ctx.dir, ctx.normal);
-    return vg * sdotn * I.at(ctx.cell, r + phys->num_dirs() * ctx.band);
-  };
+  auto symmetric = [phys](const fvm::BoundaryContext& ctx) { return symmetric_flux(*phys, ctx); };
 
   // z-min cold, z-max hot spot (regions 5/6), sides symmetric (1-4).
   p.boundary("I", 5, dsl::BcType::Flux, "isothermal_cold",
-             [isothermal, scen](const fvm::BoundaryContext& ctx) {
-               return isothermal(ctx, scen.T_cold);
+             [phys, scen](const fvm::BoundaryContext& ctx) {
+               return isothermal_flux(*phys, ctx, scen.T_cold);
              });
   p.boundary("I", 6, dsl::BcType::Flux, "isothermal_hot",
-             [isothermal, self](const fvm::BoundaryContext& ctx) {
+             [phys, self](const fvm::BoundaryContext& ctx) {
                const auto& f = ctx.mesh->face(ctx.face).centroid;
-               return isothermal(ctx, self->wall_temperature(f.x, f.y));
+               return isothermal_flux(*phys, ctx, self->wall_temperature(f.x, f.y));
              });
   for (int region : {1, 2, 3, 4})
     p.boundary("I", region, dsl::BcType::Flux, "symmetry", symmetric);
 
-  p.post_step([phys, nb, nd](dsl::Problem& prob, double) {
-    auto& I = prob.fields().get("I");
-    auto& Io = prob.fields().get("Io");
-    auto& beta = prob.fields().get("beta");
-    auto& T = prob.fields().get("T");
-    std::vector<double> G(static_cast<size_t>(nb));
-    for (int32_t c = 0; c < I.num_cells(); ++c) {
-      for (int b = 0; b < nb; ++b) {
-        double g = 0.0;
-        for (int d = 0; d < nd; ++d)
-          g += phys->directions.weight[static_cast<size_t>(d)] * I.at(c, d + nd * b);
-        G[static_cast<size_t>(b)] = g;
-      }
-      const double Tc = phys->table.solve_temperature(G, T.at(c, 0));
-      T.at(c, 0) = Tc;
-      for (int b = 0; b < nb; ++b) {
-        Io.at(c, b) = phys->table.I0(b, Tc);
-        beta.at(c, b) = phys->table.beta(b, Tc);
-      }
-    }
-  });
+  p.post_step([phys](dsl::Problem& prob, double) { update_temperature(*phys, prob); });
   p.post_step_touches({"I"}, {"Io", "beta"});
 }
 

@@ -12,7 +12,7 @@
 // layout, its virtual clock, scratch relief and fault-telemetry sync).
 //
 // BandSlices is the band-slice layout shared by the band and multi-GPU
-// strategies.
+// strategies, and upwind_sweep the one intensity kernel all three run.
 
 #include <cstdint>
 #include <memory>
@@ -174,8 +174,9 @@ class DistributedSolver {
 // Band-slice layout of the band and multi-GPU strategies: part p owns the
 // contiguous band range [b_lo, b_hi) on every cell, with intensities stored
 // [(c*bl + lb)*nd + d] and Io/beta [c*bl + lb] (bl bands owned, lb = b -
-// b_lo). Every access to that layout outside the hand-written sweeps goes
-// through here.
+// b_lo). A cell rank stores its owned and ghost cells the same way, as the
+// slice bl = nb over rank-local cell indices. Every access to that layout
+// outside upwind_sweep goes through here.
 class BandSlices {
  public:
   struct Slice {
@@ -203,15 +204,15 @@ class BandSlices {
   std::vector<Slice>::const_iterator begin() const { return slices_.begin(); }
   std::vector<Slice>::const_iterator end() const { return slices_.end(); }
 
-  // Direction-weighted sum of slice entry `cb` = c*bl + lb (the per-cell band
-  // sum the temperature update consumes).
-  double band_sum(const Slice& s, size_t cb) const {
+  // Direction-weighted sum of entry `cb` = c*bl + lb of the band-slice
+  // intensities `I` (the per-cell band sum the temperature update consumes).
+  static double band_sum(const BtePhysics& phys, const std::vector<double>& I, size_t cb) {
+    const size_t nd = static_cast<size_t>(phys.num_dirs());
     double g = 0.0;
-    for (int d = 0; d < nd_; ++d)
-      g += phys_->directions.weight[static_cast<size_t>(d)] *
-           s.I[cb * static_cast<size_t>(nd_) + static_cast<size_t>(d)];
+    for (size_t d = 0; d < nd; ++d) g += phys.directions.weight[d] * I[cb * nd + d];
     return g;
   }
+  double band_sum(const Slice& s, size_t cb) const { return band_sum(*phys_, s.I, cb); }
   // out[cb] = band_sum(s, cb) for cb in [begin, end).
   void reduce(const Slice& s, size_t begin, size_t end, std::vector<double>& out) const;
   // Writes slice-ordered sums `sums` into the canonical G[c * nb + b].
@@ -234,5 +235,80 @@ class BandSlices {
   int ncell_, nd_, nb_;
   std::vector<Slice> slices_;
 };
+
+// The one upwind intensity sweep of the cell, band and multi-GPU strategies
+// (DirectSolver keeps its own copy as the independent reference). Advances
+// every DOF of bands [b_lo, b_hi) on the global cells `cells` by one explicit
+// step of the hot-spot scenario, reading I/Io/beta and writing `out` in the
+// band-slice layout over rank-local cell indices l = local(c) (a cell id →
+// index map: global_to_local for a cell rank, the identity for a band slice).
+// Each cell's result depends only on the sources, so sweeping any subset of
+// cells writes exactly the full sweep's bits for those cells and leaves every
+// other entry of `out` untouched — the SDC sentinels and block repair rely
+// on it. Loop order: cells outermost, so (i, j) and the four neighbours'
+// local indices are derived once per cell; bands, then directions inside.
+template <class Local>
+void upwind_sweep(const BteScenario& scen, const BtePhysics& phys, int b_lo, int b_hi,
+                  const std::vector<int32_t>& cells, Local local, const std::vector<double>& I,
+                  const std::vector<double>& Io, const std::vector<double>& beta,
+                  std::vector<double>& out) {
+  const int nx = scen.nx, ny = scen.ny;
+  const size_t nd = static_cast<size_t>(phys.num_dirs());
+  const size_t bl = static_cast<size_t>(b_hi - b_lo);
+  const double dt = scen.dt, hx = scen.lx / nx, hy = scen.ly / ny;
+  const double ax = dt / hx, ay = dt / hy;
+  const DirectionSet& dirs = phys.directions;
+  for (const int32_t c : cells) {
+    const int i = static_cast<int>(c % nx), j = static_cast<int>(c / nx);
+    // A wall face never reads a neighbour, so its index stays the cell's own.
+    const size_t lc = static_cast<size_t>(local(c));
+    const size_t lw = i > 0 ? static_cast<size_t>(local(c - 1)) : lc;
+    const size_t le = i < nx - 1 ? static_cast<size_t>(local(c + 1)) : lc;
+    const size_t ls = j > 0 ? static_cast<size_t>(local(c - nx)) : lc;
+    const size_t ln = j < ny - 1 ? static_cast<size_t>(local(c + nx)) : lc;
+    for (int b = b_lo; b < b_hi; ++b) {
+      const size_t lb = static_cast<size_t>(b - b_lo);
+      const double vg = phys.bands[b].vg;
+      const size_t cb = lc * bl + lb;
+      const size_t row = cb * nd;
+      const size_t w = (lw * bl + lb) * nd, e = (le * bl + lb) * nd;
+      const size_t s = (ls * bl + lb) * nd, n = (ln * bl + lb) * nd;
+      for (size_t d = 0; d < nd; ++d) {
+        const double vx = vg * dirs.s[d].x;
+        const double vy = vg * dirs.s[d].y;
+        const size_t rx = static_cast<size_t>(dirs.reflect_x[d]);
+        const double Ic = I[row + d];
+        double val = Ic + dt * (Io[cb] - Ic) * beta[cb];
+
+        double Iw;
+        if (i > 0)
+          Iw = -vx > 0 ? Ic : I[w + d];
+        else
+          Iw = -vx > 0 ? Ic : I[row + rx];
+        val -= ax * (-vx) * Iw;
+        double Ie;
+        if (i < nx - 1)
+          Ie = vx > 0 ? Ic : I[e + d];
+        else
+          Ie = vx > 0 ? Ic : I[row + rx];
+        val -= ax * vx * Ie;
+        double Is;
+        if (j > 0)
+          Is = -vy > 0 ? Ic : I[s + d];
+        else
+          Is = -vy > 0 ? Ic : phys.table.I0(b, scen.T_cold);
+        val -= ay * (-vy) * Is;
+        double In;
+        if (j < ny - 1)
+          In = vy > 0 ? Ic : I[n + d];
+        else
+          In = vy > 0 ? Ic : phys.table.I0(b, scen.wall_temperature((i + 0.5) * hx));
+        val -= ay * vy * In;
+
+        out[row + d] = val;
+      }
+    }
+  }
+}
 
 }  // namespace finch::bte

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <span>
 #include <stdexcept>
 
@@ -26,21 +27,16 @@ MultiGpuSolver::MultiGpuSolver(const BteScenario& scenario, std::shared_ptr<cons
       spec_(std::move(spec)),
       slices_(*phys_, scenario.nx * scenario.ny) {
   if (num_devices < 1) throw std::invalid_argument("MultiGpuSolver: num_devices >= 1");
-  nx_ = scen_.nx;
-  ny_ = scen_.ny;
   if (num_devices > nb_) throw std::invalid_argument("MultiGpuSolver: more devices than bands");
-  hx_ = scen_.lx / nx_;
-  hy_ = scen_.ly / ny_;
-  dt_ = scen_.dt;
-  const int ncell = nx_ * ny_;
-  T_.assign(static_cast<size_t>(ncell), scen_.T_init);
-  G_global_.resize(static_cast<size_t>(ncell) * nb_);
+  const int nx = scen_.nx, ny = scen_.ny;
+  T_.assign(static_cast<size_t>(nx * ny), scen_.T_init);
+  G_global_.resize(static_cast<size_t>(nx * ny) * nb_);
 
   // Interior/boundary split as in Fig. 6.
-  for (int j = 0; j < ny_; ++j)
-    for (int i = 0; i < nx_; ++i) {
-      const int32_t c = j * nx_ + i;
-      if (i == 0 || i == nx_ - 1 || j == 0 || j == ny_ - 1)
+  for (int j = 0; j < ny; ++j)
+    for (int i = 0; i < nx; ++i) {
+      const int32_t c = j * nx + i;
+      if (i == 0 || i == nx - 1 || j == 0 || j == ny - 1)
         boundary_cells_.push_back(c);
       else
         interior_cells_.push_back(c);
@@ -79,65 +75,6 @@ void MultiGpuSolver::allocate_mirror(size_t p) {
   mirrors_[p].dev_I = gpu.allocate(r.I.size());
   mirrors_[p].dev_Iob = gpu.allocate(r.Io.size() + r.beta.size());
   gpu.memcpy_h2d(mirrors_[p].dev_I, r.I);
-}
-
-void MultiGpuSolver::sweep_cells(BandSlices::Slice& r, const std::vector<int32_t>& cells) {
-  sweep_cells_into(r, cells, r.I, r.I_new);
-}
-
-// The sweep parameterized over source/destination so the SDC repair path can
-// recompute a cell sub-range from the previous state (I_src = the shadow in
-// I_new after the swap) directly into the live array. Per-cell results depend
-// only on I_src, Io, beta, so any subset recomputes bit-identically.
-void MultiGpuSolver::sweep_cells_into(BandSlices::Slice& r, const std::vector<int32_t>& cells,
-                                      const std::vector<double>& I_src, std::vector<double>& out) {
-  const int bl = r.b_hi - r.b_lo;
-  const double ax = dt_ / hx_, ay = dt_ / hy_;
-  for (int b = r.b_lo; b < r.b_hi; ++b) {
-    const int lb = b - r.b_lo;
-    const double vg = phys_->bands[b].vg;
-    for (int d = 0; d < nd_; ++d) {
-      const double vx = vg * phys_->directions.s[static_cast<size_t>(d)].x;
-      const double vy = vg * phys_->directions.s[static_cast<size_t>(d)].y;
-      const int rx = phys_->directions.reflect_x[static_cast<size_t>(d)];
-      for (int32_t c : cells) {
-        const int i = static_cast<int>(c % nx_), j = static_cast<int>(c / nx_);
-        auto idx = [&](int cc, int dd) {
-          return (static_cast<size_t>(cc) * bl + lb) * nd_ + static_cast<size_t>(dd);
-        };
-        const double Ic = I_src[idx(c, d)];
-        const size_t cb = static_cast<size_t>(c) * bl + lb;
-        double val = Ic + dt_ * (r.Io[cb] - Ic) * r.beta[cb];
-
-        double Iw;
-        if (i > 0)
-          Iw = -vx > 0 ? Ic : I_src[idx(c - 1, d)];
-        else
-          Iw = -vx > 0 ? Ic : I_src[idx(c, rx)];
-        val -= ax * (-vx) * Iw;
-        double Ie;
-        if (i < nx_ - 1)
-          Ie = vx > 0 ? Ic : I_src[idx(c + 1, d)];
-        else
-          Ie = vx > 0 ? Ic : I_src[idx(c, rx)];
-        val -= ax * vx * Ie;
-        double Is;
-        if (j > 0)
-          Is = -vy > 0 ? Ic : I_src[idx(c - nx_, d)];
-        else
-          Is = -vy > 0 ? Ic : phys_->table.I0(b, scen_.T_cold);
-        val -= ay * (-vy) * Is;
-        double In;
-        if (j < ny_ - 1)
-          In = vy > 0 ? Ic : I_src[idx(c + nx_, d)];
-        else
-          In = vy > 0 ? Ic : phys_->table.I0(b, scen_.wall_temperature((i + 0.5) * hx_));
-        val -= ay * vy * In;
-
-        out[idx(c, d)] = val;
-      }
-    }
-  }
 }
 
 void MultiGpuSolver::set_trace_track(int32_t track, const std::string& label) {
@@ -180,12 +117,16 @@ void MultiGpuSolver::step() {
     ks.fma_fraction = 0.3;
     ks.dram_bytes_per_thread = 18;
     ks.divergence = 0.05;
-    launch_with_retry(gpu, "bte_interior", ks, [&] { sweep_cells(r, interior_cells_); });
+    launch_with_retry(gpu, "bte_interior", ks, [&] {
+      upwind_sweep(scen_, *phys_, r.b_lo, r.b_hi, interior_cells_, std::identity{}, r.I, r.Io,
+                   r.beta, r.I_new);
+    });
     const double kernel_seconds = gpu.stream_clock(0) - dev_before;
 
     // Boundary cells on the CPU (the user-callback side of Fig. 6).
     const auto t0 = Clock::now();
-    sweep_cells(r, boundary_cells_);
+    upwind_sweep(scen_, *phys_, r.b_lo, r.b_hi, boundary_cells_, std::identity{}, r.I, r.Io,
+                 r.beta, r.I_new);
     const double cpu_boundary = seconds_since(t0);
 
     r.I.swap(r.I_new);
@@ -381,7 +322,8 @@ bool MultiGpuSolver::repair_block(size_t p, size_t block) {
   repair_cells_.clear();
   for (size_t c = range.begin / stride; c * stride < range.end; ++c)
     repair_cells_.push_back(static_cast<int32_t>(c));
-  sweep_cells_into(r, repair_cells_, r.I_new, r.I);
+  upwind_sweep(scen_, *phys_, r.b_lo, r.b_hi, repair_cells_, std::identity{}, r.I_new, r.Io,
+               r.beta, r.I);
   // A repair hit by its own silent fault (site "repair") models the same
   // block failing twice — the localized path gives up and the run() loop
   // falls back to checkpoint rollback.
@@ -412,7 +354,8 @@ void MultiGpuSolver::audit_sentinels(size_t p) {
   const size_t stride = static_cast<size_t>(r.bands()) * static_cast<size_t>(nd_);
   const std::vector<int32_t>& sentinels = sentinel_cells();
   sentinel_scratch_.resize(r.I.size());
-  sweep_cells_into(r, sentinels, r.I_new, sentinel_scratch_);
+  upwind_sweep(scen_, *phys_, r.b_lo, r.b_hi, sentinels, std::identity{}, r.I_new, r.Io, r.beta,
+               sentinel_scratch_);
   for (int32_t c : sentinels) {
     rstats_.sentinel_checks += 1;
     const size_t off = static_cast<size_t>(c) * stride;

@@ -10,7 +10,10 @@
 // scan, the band-slice gather/scatter plus device-mirror refresh, the rebuild
 // at M devices, the weighted derate and the phase-ledger clock; run(),
 // checkpoints, eviction and durable resume live in the driver. The band
-// slices use the same BandSlices layout as BandPartitionedSolver.
+// slices use the same BandSlices layout as BandPartitionedSolver, and every
+// sweep — interior kernel, CPU boundary cells, SDC sentinels and block
+// repair — is the one kernel upwind_sweep with the identity cell map over
+// that cell subset.
 //
 // Numerics are bit-identical to the serial DirectSolver (tested); what the
 // simulated devices add is faithful accounting: per-device kernel launches,
@@ -124,9 +127,6 @@ class MultiGpuSolver : public DistributedSolver {
 
   double copy_seconds_total() const;
   void upload_moments(size_t p);
-  void sweep_cells(BandSlices::Slice& r, const std::vector<int32_t>& cells);
-  void sweep_cells_into(BandSlices::Slice& r, const std::vector<int32_t>& cells,
-                        const std::vector<double>& I_src, std::vector<double>& out);
   void launch_with_retry(rt::SimGpu& gpu, const std::string& name, const rt::KernelStats& ks,
                          const std::function<void()>& body);
   void roundtrip_with_guard(size_t p);
@@ -143,8 +143,6 @@ class MultiGpuSolver : public DistributedSolver {
   void charge_phase(double Phases::*field, const char* name, double seconds);
 
   rt::GpuSpec spec_;
-  int nx_, ny_;
-  double hx_, hy_, dt_;
   BandSlices slices_;
   std::vector<Mirror> mirrors_;
   std::vector<std::unique_ptr<rt::SimGpu>> devices_;

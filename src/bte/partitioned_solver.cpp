@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <numeric>
 #include <span>
 #include <stdexcept>
 
@@ -118,7 +120,6 @@ CellPartitionedSolver::CellPartitionedSolver(const BteScenario& scenario,
       method_(method) {
   if (nparts < 1) throw std::invalid_argument("CellPartitionedSolver: nparts >= 1");
   dofs_ = nd_ * nb_;
-  dt_ = scen_.dt;
   g_scratch_.resize(static_cast<size_t>(nb_));
   rebuild(nparts);
 }
@@ -149,8 +150,6 @@ void CellPartitionedSolver::rebuild(int nparts) {
         r.ghosts.push_back(c);
       }
     const size_t nloc = r.owned.size() + r.ghosts.size();
-    r.all_owned.resize(r.owned.size());
-    for (size_t lo = 0; lo < r.owned.size(); ++lo) r.all_owned[lo] = lo;
     r.I.resize(nloc * static_cast<size_t>(dofs_));
     r.I_new.resize(r.owned.size() * static_cast<size_t>(dofs_));
     r.Io.resize(r.owned.size() * static_cast<size_t>(nb_));
@@ -256,75 +255,11 @@ void CellPartitionedSolver::exchange_halos() {
   bsp_.exchange(halo_messages_);
 }
 
-// Sweep body parameterized over the owned-cell subset and the output array:
-// per-cell results depend only on r.I/r.Io/r.beta, so recomputing any subset
-// (sentinel audit, block repair) reproduces the full sweep bit-identically.
-void CellPartitionedSolver::sweep_owned_subset(Rank& r, const std::vector<size_t>& cells,
-                                               std::vector<double>& out) {
-  const int nx = scen_.nx, ny = scen_.ny;
-  const double hx = scen_.lx / nx, hy = scen_.ly / ny;
-  const double ax = dt_ / hx, ay = dt_ / hy;
-
-  auto lidx = [&](int32_t gc) { return r.global_to_local[static_cast<size_t>(gc)]; };
-
-  for (int b = 0; b < nb_; ++b) {
-    const double vg = phys_->bands[b].vg;
-    for (int d = 0; d < nd_; ++d) {
-      const double vx = vg * phys_->directions.s[static_cast<size_t>(d)].x;
-      const double vy = vg * phys_->directions.s[static_cast<size_t>(d)].y;
-      const int rx = phys_->directions.reflect_x[static_cast<size_t>(d)];
-      const int dof = d + nd_ * b;
-      for (size_t lo : cells) {
-        const int32_t c = r.owned[lo];
-        const int i = static_cast<int>(c % nx), j = static_cast<int>(c / nx);
-        const size_t ci = lo * static_cast<size_t>(dofs_) + static_cast<size_t>(dof);
-        const double Ic = r.I[ci];
-        const size_t cb = lo * static_cast<size_t>(nb_) + static_cast<size_t>(b);
-        double val = Ic + dt_ * (r.Io[cb] - Ic) * r.beta[cb];
-
-        auto I_at = [&](int32_t gc, int dd) {
-          return r.I[static_cast<size_t>(lidx(gc)) * dofs_ + static_cast<size_t>(dd + nd_ * b)];
-        };
-        double Iw;
-        if (i > 0)
-          Iw = -vx > 0 ? Ic : I_at(c - 1, d);
-        else
-          Iw = -vx > 0 ? Ic : I_at(c, rx);
-        val -= ax * (-vx) * Iw;
-        double Ie;
-        if (i < nx - 1)
-          Ie = vx > 0 ? Ic : I_at(c + 1, d);
-        else
-          Ie = vx > 0 ? Ic : I_at(c, rx);
-        val -= ax * vx * Ie;
-        double Is;
-        if (j > 0)
-          Is = -vy > 0 ? Ic : I_at(c - nx, d);
-        else
-          Is = -vy > 0 ? Ic : phys_->table.I0(b, scen_.T_cold);
-        val -= ay * (-vy) * Is;
-        double In;
-        if (j < ny - 1)
-          In = vy > 0 ? Ic : I_at(c + nx, d);
-        else
-          In = vy > 0 ? Ic : phys_->table.I0(b, scen_.wall_temperature((i + 0.5) * hx));
-        val -= ay * vy * In;
-
-        out[ci] = val;
-      }
-    }
-  }
-}
-
 void CellPartitionedSolver::temperature_rank(Rank& r) {
   for (size_t lo = 0; lo < r.owned.size(); ++lo) {
-    for (int b = 0; b < nb_; ++b) {
-      double g = 0.0;
-      const size_t base = lo * static_cast<size_t>(dofs_) + static_cast<size_t>(nd_) * b;
-      for (int d = 0; d < nd_; ++d)
-        g += phys_->directions.weight[static_cast<size_t>(d)] * r.I[base + static_cast<size_t>(d)];
-      g_scratch_[static_cast<size_t>(b)] = g;
-    }
+    for (int b = 0; b < nb_; ++b)
+      g_scratch_[static_cast<size_t>(b)] =
+          BandSlices::band_sum(*phys_, r.I, lo * static_cast<size_t>(nb_) + static_cast<size_t>(b));
     const double Tc = phys_->table.solve_temperature(g_scratch_, r.T[lo]);
     r.T[lo] = Tc;
     for (int b = 0; b < nb_; ++b) {
@@ -345,8 +280,9 @@ void CellPartitionedSolver::step() {
   {
     rt::TraceSpan sweep_span("cell.sweep", attrs);
     for (size_t p = 0; p < ranks_.size(); ++p) {
+      Rank& r = ranks_[p];
       const auto t0 = Clock::now();
-      sweep_owned_subset(ranks_[p], ranks_[p].all_owned, ranks_[p].I_new);
+      upwind_sweep(scen_, *phys_, 0, nb_, r.owned, r.local(), r.I, r.Io, r.beta, r.I_new);
       rank_seconds[p] = seconds_since(t0);
     }
   }
@@ -393,15 +329,16 @@ void CellPartitionedSolver::audit_sentinels() {
     sentinel_subset_.clear();
     for (int32_t gc : sentinels) {
       const int32_t lo = r.global_to_local[static_cast<size_t>(gc)];
-      if (lo >= 0 && static_cast<size_t>(lo) < r.owned.size())
-        sentinel_subset_.push_back(static_cast<size_t>(lo));
+      if (lo >= 0 && static_cast<size_t>(lo) < r.owned.size()) sentinel_subset_.push_back(gc);
     }
     if (sentinel_subset_.empty()) continue;
     sentinel_scratch_.resize(r.I_new.size());
-    sweep_owned_subset(r, sentinel_subset_, sentinel_scratch_);
-    for (size_t lo : sentinel_subset_) {
+    upwind_sweep(scen_, *phys_, 0, nb_, sentinel_subset_, r.local(), r.I, r.Io, r.beta,
+                 sentinel_scratch_);
+    for (int32_t gc : sentinel_subset_) {
       rstats_.sentinel_checks += 1;
-      const size_t off = lo * static_cast<size_t>(dofs_);
+      const size_t off = static_cast<size_t>(r.global_to_local[static_cast<size_t>(gc)]) *
+                         static_cast<size_t>(dofs_);
       if (std::memcmp(sentinel_scratch_.data() + off, r.I_new.data() + off,
                       static_cast<size_t>(dofs_) * sizeof(double)) != 0) {
         note_sdc_detection();
@@ -505,13 +442,10 @@ BandPartitionedSolver::BandPartitionedSolver(const BteScenario& scenario,
                 {"band", rt::FaultKind::RankFailure, "band-rank", "rank"}),
       slices_(*phys_, scenario.nx * scenario.ny) {
   if (nparts < 1) throw std::invalid_argument("BandPartitionedSolver: nparts >= 1");
-  nx_ = scen_.nx;
-  ny_ = scen_.ny;
   if (nparts > nb_) throw std::invalid_argument("BandPartitionedSolver: more parts than bands");
-  hx_ = scen_.lx / nx_;
-  hy_ = scen_.ly / ny_;
-  dt_ = scen_.dt;
-  const int ncell = nx_ * ny_;
+  const int ncell = scen_.nx * scen_.ny;
+  cells_.resize(static_cast<size_t>(ncell));
+  std::iota(cells_.begin(), cells_.end(), 0);
   T_.assign(static_cast<size_t>(ncell), scen_.T_init);
   G_global_.resize(static_cast<size_t>(ncell) * nb_);
   rebuild(nparts);
@@ -526,7 +460,7 @@ void BandPartitionedSolver::relayout(const BandSlices::Ranges& ranges) {
   wire_.assign(ranges.size(), Wire{});
   // Per step: each rank contributes its slice of the per-cell, per-band sums
   // (allgather over ranks) before the temperature solve.
-  comm_.bytes_per_step = static_cast<int64_t>(nx_) * ny_ * nb_ * 8;
+  comm_.bytes_per_step = static_cast<int64_t>(cells_.size()) * nb_ * 8;
   comm_.messages_per_step = nparts_;
 }
 
@@ -534,59 +468,6 @@ void BandPartitionedSolver::relayout_away(int32_t victim) {
   relayout(slices_.weighted_split(nparts_, victim, bsp_.straggler().slowdown(victim)));
   // Old per-rank timing history does not describe the new shares.
   bsp_.straggler().resize(nparts_);
-}
-
-void BandPartitionedSolver::sweep_rank(BandSlices::Slice& r) {
-  const int bl = r.b_hi - r.b_lo;
-  const double ax = dt_ / hx_, ay = dt_ / hy_;
-  for (int b = r.b_lo; b < r.b_hi; ++b) {
-    const int lb = b - r.b_lo;
-    const double vg = phys_->bands[b].vg;
-    for (int d = 0; d < nd_; ++d) {
-      const double vx = vg * phys_->directions.s[static_cast<size_t>(d)].x;
-      const double vy = vg * phys_->directions.s[static_cast<size_t>(d)].y;
-      const int rx = phys_->directions.reflect_x[static_cast<size_t>(d)];
-      for (int j = 0; j < ny_; ++j) {
-        for (int i = 0; i < nx_; ++i) {
-          const int c = j * nx_ + i;
-          auto idx = [&](int cc, int dd) {
-            return (static_cast<size_t>(cc) * bl + lb) * nd_ + static_cast<size_t>(dd);
-          };
-          const double Ic = r.I[idx(c, d)];
-          const size_t cb = static_cast<size_t>(c) * bl + lb;
-          double val = Ic + dt_ * (r.Io[cb] - Ic) * r.beta[cb];
-
-          double Iw;
-          if (i > 0)
-            Iw = -vx > 0 ? Ic : r.I[idx(c - 1, d)];
-          else
-            Iw = -vx > 0 ? Ic : r.I[idx(c, rx)];
-          val -= ax * (-vx) * Iw;
-          double Ie;
-          if (i < nx_ - 1)
-            Ie = vx > 0 ? Ic : r.I[idx(c + 1, d)];
-          else
-            Ie = vx > 0 ? Ic : r.I[idx(c, rx)];
-          val -= ax * vx * Ie;
-          double Is;
-          if (j > 0)
-            Is = -vy > 0 ? Ic : r.I[idx(c - nx_, d)];
-          else
-            Is = -vy > 0 ? Ic : phys_->table.I0(b, scen_.T_cold);
-          val -= ay * (-vy) * Is;
-          double In;
-          if (j < ny_ - 1)
-            In = vy > 0 ? Ic : r.I[idx(c + nx_, d)];
-          else
-            In = vy > 0 ? Ic : phys_->table.I0(b, scen_.wall_temperature((i + 0.5) * hx_));
-          val -= ay * vy * In;
-
-          r.I_new[idx(c, d)] = val;
-        }
-      }
-    }
-  }
-  r.I.swap(r.I_new);
 }
 
 void BandPartitionedSolver::gather_rank(size_t p) {
@@ -597,7 +478,7 @@ void BandPartitionedSolver::gather_rank(size_t p) {
   Wire& w = wire_[p];
   const size_t bl = static_cast<size_t>(r.bands());
   std::vector<double>& payload = w.payload;
-  payload.resize(static_cast<size_t>(nx_) * static_cast<size_t>(ny_) * bl);
+  payload.resize(cells_.size() * bl);
   slices_.reduce(r, 0, payload.size(), payload);
 
   const bool sdc = sdc_armed();
@@ -663,8 +544,11 @@ void BandPartitionedSolver::step() {
   {
     rt::TraceSpan sweep_span("band.sweep", attrs);
     for (size_t p = 0; p < slices_.size(); ++p) {
+      BandSlices::Slice& r = slices_[p];
       const auto t0 = Clock::now();
-      sweep_rank(slices_[p]);
+      upwind_sweep(scen_, *phys_, r.b_lo, r.b_hi, cells_, std::identity{}, r.I, r.Io, r.beta,
+                   r.I_new);
+      r.I.swap(r.I_new);
       rank_seconds[p] = seconds_since(t0);
     }
   }

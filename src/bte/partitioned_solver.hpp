@@ -17,9 +17,13 @@
 // distributed_solver.hpp): they supply one step, the field scan, the
 // canonical gather/scatter, the rebuild at M ranks and the rebalance layout,
 // while run(), checkpoints, eviction and durable resume live in the driver.
-// BspSolver holds what the two share, the BSP virtual clock. Both produce
-// fields bit-identical to the serial DirectSolver — tested — and report the
-// bytes they moved, which the perf models' figures price.
+// BspSolver holds what the two share, the BSP virtual clock. Both sweep with
+// the one kernel upwind_sweep and differ only in the cell → local-index map
+// they hand it: a cell rank maps global ids through global_to_local onto its
+// owned + ghost storage (the band slice bl = nb), a band rank uses the
+// identity over every cell. Both produce fields bit-identical to the serial
+// DirectSolver — tested — and report the bytes they moved, which the perf
+// models' figures price.
 
 #include <chrono>
 #include <cstdint>
@@ -119,7 +123,11 @@ class CellPartitionedSolver : public BspSolver {
     std::vector<double> Io, beta;          // [owned * nbands]
     std::vector<double> T;                 // [owned]
     mesh::HaloPlan halo;
-    std::vector<size_t> all_owned;         // 0..owned.size()-1 (sweep subset arg)
+    // The sweep's cell → local-index map: a rank is the band slice bl = nb
+    // over its owned + ghost cells.
+    auto local() const {
+      return [this](int32_t c) { return global_to_local[static_cast<size_t>(c)]; };
+    }
   };
 
   // (Re)builds the rank layout: partition, halos, per-rank storage at
@@ -136,7 +144,6 @@ class CellPartitionedSolver : public BspSolver {
 
   void exchange_halos();
   void copy_ghosts(Rank& r, const Rank& peer, const std::vector<int32_t>& cells);
-  void sweep_owned_subset(Rank& r, const std::vector<size_t>& cells, std::vector<double>& out);
   void temperature_rank(Rank& r);
   void audit_sentinels();
 
@@ -144,14 +151,13 @@ class CellPartitionedSolver : public BspSolver {
   mesh::PartitionMethod method_;
   std::vector<int32_t> part_;
   int dofs_;
-  double dt_;
   std::vector<Rank> ranks_;
   std::vector<double> g_scratch_;
   std::vector<rt::Message> halo_messages_;
 
   // ---- SDC defense scratch ----
   std::vector<double> sentinel_scratch_;  // recompute target ([owned * dofs])
-  std::vector<size_t> sentinel_subset_;   // per-rank local indices, reused
+  std::vector<int32_t> sentinel_subset_;  // per-rank owned sentinels (global ids), reused
 };
 
 class BandPartitionedSolver : public BspSolver {
@@ -189,12 +195,10 @@ class BandPartitionedSolver : public BspSolver {
                const std::vector<double>& Io, const std::vector<double>& beta) override;
   int64_t shrink_scratch() override;
 
-  void sweep_rank(BandSlices::Slice& r);
   void gather_rank(size_t p);
   void audit_sentinels();
 
-  int nx_, ny_;
-  double hx_, hy_, dt_;
+  std::vector<int32_t> cells_;  // every global cell id: the sweep's cell list
   BandSlices slices_;
   std::vector<Wire> wire_;
   std::vector<double> T_;        // replicated temperature (each rank holds a copy)

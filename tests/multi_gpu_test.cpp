@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
 #include "bte/direct_solver.hpp"
 #include "bte/multi_gpu_solver.hpp"
@@ -30,13 +31,36 @@ BteScenario scen() {
   return s;
 }
 
+// One bit-identity input: `parts` partitions of an nx x ny grid, where
+// nx = 0 means scen()'s grid. The default grid prints as the bare part count;
+// a strip grid, on which one cell is both walls of an axis, as
+// "<nx>x<ny>_<parts>".
+struct Case {
+  int parts;
+  int nx = 0, ny = 0;
+};
+
+void PrintTo(const Case& c, std::ostream* os) {
+  if (c.nx > 0) *os << c.nx << "x" << c.ny << "_";
+  *os << c.parts;
+}
+
+BteScenario scen(const Case& c) {
+  BteScenario s = scen();
+  if (c.nx > 0) {
+    s.nx = c.nx;
+    s.ny = c.ny;
+  }
+  return s;
+}
+
 }  // namespace
 
-class GpuCounts : public ::testing::TestWithParam<int> {};
+class GpuCounts : public ::testing::TestWithParam<Case> {};
 
 TEST_P(GpuCounts, BitIdenticalToSerial) {
-  const int ndev = GetParam();
-  BteScenario s = scen();
+  const int ndev = GetParam().parts;
+  BteScenario s = scen(GetParam());
   DirectSolver serial(s, phys());
   MultiGpuSolver multi(s, phys(), ndev);
   serial.run(12);
@@ -49,7 +73,10 @@ TEST_P(GpuCounts, BitIdenticalToSerial) {
     ASSERT_EQ(serial.temperature()[i], multi.temperature()[i]);
 }
 
-INSTANTIATE_TEST_SUITE_P(DeviceCounts, GpuCounts, ::testing::Values(1, 2, 4, 8));
+INSTANTIATE_TEST_SUITE_P(DeviceCounts, GpuCounts,
+                         ::testing::Values(Case{1}, Case{2}, Case{4}, Case{8}));
+INSTANTIATE_TEST_SUITE_P(StripGrids, GpuCounts,
+                         ::testing::Values(Case{2, 1, 6}, Case{3, 6, 1}, Case{4, 2, 5}));
 
 TEST(MultiGpu, DevicesLaunchAndTransfer) {
   BteScenario s = scen();
