@@ -1,32 +1,35 @@
 // Supervisor bench: multi-job goodput under fault pressure, plus the
-// crash-restart acceptance run for the resilient job supervisor.
+// crash-restart and overload acceptance runs for the job scheduler
+// (svc::Scheduler, the one job front end).
 //
 // Act 1 sweeps a deterministic mixed job stream (plain / chaos / flaky /
-// poison / deadline jobs, see bte::SupervisorCampaign) through the supervisor
-// at three fault densities — none, low, high — and reports throughput
-// (jobs/sec wall), virtual time-to-terminal percentiles, and goodput
-// (completed solver steps per virtual second, so retries, backoff and
+// poison / deadline jobs, see bte::SupervisorCampaign) through a serial
+// scheduler (max_concurrency = 1) at three fault densities — none, low,
+// high — and reports throughput (jobs/sec wall), virtual time-to-terminal
+// (sojourn) percentiles, and goodput (completed solver steps per virtual
+// second of attempt compute plus retry backoff, so retries, backoff and
 // quarantined work all show up as lost goodput). Every stream must end with
 // 100% of jobs in a terminal state, the campaign oracle clean (completed
 // jobs bit-exact vs the fault-free reference), and zero step-0 replays:
 // durable retries resume from the newest manifest checkpoint.
 //
 // Act 2 is the crash acceptance criterion: a child process runs a faulted
-// campaign and SIGKILLs itself from inside a manifest-commit window; the
-// parent restarts a fresh supervisor on the same durable root, re-adopts
-// every orphaned job, drains them to terminal states, and the oracle must
-// hold across the restart — completed-before-death jobs stay terminal on
-// disk, adopted in-flight jobs resume instead of replaying from step 0.
+// campaign through a serial scheduler and SIGKILLs itself from inside a
+// manifest-commit window; the parent restarts a fresh scheduler on the same
+// durable root, re-adopts every orphaned job, drains them to terminal
+// states, and the oracle must hold across the restart —
+// completed-before-death jobs stay terminal on disk, adopted in-flight jobs
+// resume instead of replaying from step 0.
 //
-// Act 3 is the ISSUE-9 overload acceptance: the same job mix first runs
-// serially through the PR-8 supervisor (calibrating the scheduler's cost
-// model from its virtual clock), then arrives open-loop at 2x the service
+// Act 3 is the overload acceptance: the same job mix first runs through a
+// serial scheduler (its Σ attempt virtual + backoff seconds calibrate the
+// concurrent run's cost model), then arrives open-loop at 2x the service
 // capacity of a 4-slot scheduler across 3 equal-weight tenants with a
 // bounded queue. The extended oracle must hold — 100% of admitted jobs
 // terminal, every tenant's goodput >= 60% of its fair share, sheds strictly
 // lowest-priority-first, zero starvation-watchdog violations — and the
-// scheduler's virtual-clock throughput must be >= 2x the serial supervisor's
-// on the same mix.
+// 4-slot scheduler's virtual-clock throughput must be >= 2x the serial
+// run's on the same mix.
 //
 // Usage: bench_supervisor [--njobs N] [--seed N] [--json FILE]
 //                         [--metrics-json FILE] [--trace FILE]
@@ -43,7 +46,7 @@
 #include "fig_common.hpp"
 #include "runtime/checkpoint.hpp"
 #include "svc/job_file.hpp"
-#include "svc/supervisor.hpp"
+#include "svc/scheduler.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <csignal>
@@ -96,6 +99,23 @@ double percentile(std::vector<double> v, double p) {
   return v[std::min(idx, v.size() - 1)];
 }
 
+// A serial (one-slot) scheduler over `opt`.
+svc::SchedulerOptions serial_options(svc::SupervisorOptions opt) {
+  svc::SchedulerOptions o;
+  o.supervisor = std::move(opt);
+  o.max_concurrency = 1;
+  return o;
+}
+
+// Virtual seconds the jobs spent: Σ over outcomes of Σ attempts (virtual_s +
+// backoff_s) — solver compute plus retry backoff, as one slot runs them.
+double attempt_virtual_s(const std::vector<svc::JobOutcome>& outcomes) {
+  double total = 0.0;
+  for (const svc::JobOutcome& o : outcomes)
+    for (const svc::AttemptRecord& a : o.attempts) total += a.virtual_s + a.backoff_s;
+  return total;
+}
+
 // Completed solver steps per virtual second across the whole stream — the
 // bench's goodput: faults, retries and backoff spend virtual time without
 // adding completed steps.
@@ -120,9 +140,9 @@ void run_child_until_kill(const BteScenario& base, const svc::SupervisorOptions&
     if (path.find("manifest.json") == std::string::npos) return;
     if (++commits == target) ::raise(SIGKILL);
   });
-  svc::Supervisor sup(base, opt);
-  for (const svc::JobSpec& j : jobs) sup.submit(j);
-  (void)sup.drain();
+  svc::Scheduler sched(base, serial_options(opt));
+  for (const svc::JobSpec& j : jobs) sched.submit(j);
+  (void)sched.run({});
   ::_exit(41);  // the kill point never fired: distinct failure code
 }
 
@@ -168,11 +188,11 @@ int main(int argc, char** argv) {
     shape.njobs = njobs;
     svc::SupervisorOptions opt;
     opt.durable_root = fresh_root(d.name);
-    svc::Supervisor sup(base, opt);
+    svc::Scheduler sched(base, serial_options(opt));
     const std::vector<svc::JobSpec> jobs = campaign.mixed_stream(args.seed, shape);
 
     const auto t0 = std::chrono::steady_clock::now();
-    const SupervisorReport rep = campaign.run_stream(sup, jobs);
+    const SupervisorReport rep = campaign.run_stream(sched, jobs);
     const double wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
@@ -180,7 +200,7 @@ int main(int argc, char** argv) {
     for (const svc::JobOutcome& o : rep.outcomes) ttt.push_back(o.time_to_terminal_s);
     const double jobs_per_s = wall_s > 0 ? static_cast<double>(rep.total) / wall_s : 0.0;
     const double p50 = percentile(ttt, 0.50), p99 = percentile(ttt, 0.99);
-    const double gp = goodput(rep, sup.virtual_now());
+    const double gp = goodput(rep, attempt_virtual_s(rep.outcomes));
     std::printf("%-6s %6d %8.1f %9.2es %9.2es %10.1f %6d %5d %5d %5d %5d\n", d.name, rep.total,
                 jobs_per_s, p50, p99, gp, rep.faulted_jobs, rep.completed, rep.cancelled,
                 rep.quarantined, rep.shed);
@@ -228,7 +248,7 @@ int main(int argc, char** argv) {
     check(high_rep.cancelled > 0, "high density: the stream drained deadline jobs");
   }
 
-  // ---- act 2: SIGKILL the supervisor mid-campaign, restart, re-adopt -------
+  // ---- act 2: SIGKILL the scheduler mid-campaign, restart, re-adopt --------
 #ifdef FINCH_HAVE_FORK
   {
     const int kill_jobs = fast ? 10 : 24;
@@ -242,25 +262,26 @@ int main(int argc, char** argv) {
     // with durable checkpoints, early enough that a tail of jobs is queued.
     const int kill_at_commit = 2 * kill_jobs;
     const bool killed = crash_child(base, opt, jobs, kill_at_commit);
-    check(killed, "child supervisor died by SIGKILL inside a manifest-commit window");
+    check(killed, "child scheduler died by SIGKILL inside a manifest-commit window");
 
     int terminal_before = 0;
     for (const svc::JobSpec& j : jobs)
       if (svc::file_exists(opt.durable_root + "/" + j.id + "/terminal.json")) ++terminal_before;
 
-    svc::Supervisor restarted(base, opt);
+    svc::Scheduler restarted(base, serial_options(opt));
     const std::vector<std::string> adopted = restarted.adopt_orphans();
     check(!adopted.empty() && terminal_before + static_cast<int>(adopted.size()) ==
                                   static_cast<int>(jobs.size()),
           "restart accounts for every job: " + std::to_string(terminal_before) +
               " terminal before death + " + std::to_string(adopted.size()) + " adopted");
 
-    const std::vector<svc::JobOutcome> outcomes = restarted.drain();
+    const std::vector<svc::JobOutcome> outcomes = restarted.run({}).outcomes;
     std::vector<svc::JobSpec> adopted_specs;
     for (const svc::JobSpec& j : jobs)
       for (const std::string& id : adopted)
         if (j.id == id) adopted_specs.push_back(j);
-    const SupervisorReport rep = campaign.judge(adopted_specs, outcomes, restarted.options());
+    const SupervisorReport rep =
+        campaign.judge(adopted_specs, outcomes, restarted.options().supervisor);
     for (const std::string& v : rep.violations) std::printf("  VIOLATION %s\n", v.c_str());
     int resumed_adopted = 0;
     for (const svc::JobOutcome& o : outcomes)
@@ -288,9 +309,10 @@ int main(int argc, char** argv) {
     oshape.njobs = fast ? 60 : 300;
     const int mc = 4;
 
-    // Serial baseline: the PR-8 supervisor runs the identical job mix one
-    // attempt at a time. Its virtual clock calibrates the scheduler's cost
-    // model, so the two throughput numbers share one currency. The default
+    // Serial baseline: a one-slot scheduler runs the identical job mix one
+    // attempt at a time. Its Σ attempt virtual + backoff seconds calibrate
+    // the concurrent run's cost model, so the two throughput numbers share
+    // one currency. The default
     // retry backoff (0.5 s base) was tuned for much larger jobs; these run
     // in tens of milliseconds, so both runs scale the policy to the job
     // scale — otherwise backoff tails, not service, dominate both clocks.
@@ -302,19 +324,20 @@ int main(int argc, char** argv) {
     svc::SupervisorOptions serial_opt;
     serial_opt.durable_root = fresh_root("overload_serial");
     serial_opt.retry = retry;
-    svc::Supervisor serial(base, serial_opt);
+    svc::Scheduler serial(base, serial_options(serial_opt));
     double offered_units = 0.0;
     for (const svc::Arrival& a : shape_only) {
       offered_units += static_cast<double>(a.spec.nsteps) * a.spec.nx * a.spec.ny *
                        a.spec.ndirs * a.spec.nbands;
       serial.submit(a.spec);
     }
+    const std::vector<svc::JobOutcome> serial_outcomes = serial.run({}).outcomes;
     double serial_completed_units = 0.0;
-    for (const svc::JobOutcome& o : serial.drain())
+    for (const svc::JobOutcome& o : serial_outcomes)
       if (o.state == svc::TerminalState::Completed)
         serial_completed_units += static_cast<double>(o.spec.nsteps) * o.spec.nx * o.spec.ny *
                                   o.spec.ndirs * o.spec.nbands;
-    const double serial_vt = serial.virtual_now();
+    const double serial_vt = attempt_virtual_s(serial_outcomes);
     const double serial_tp = serial_vt > 0 ? serial_completed_units / serial_vt : 0.0;
     const double cpu_cal = offered_units > 0 ? serial_vt / offered_units : 5e-9;
 
@@ -360,7 +383,7 @@ int main(int argc, char** argv) {
     check(rep.min_fair_share_ratio >= 0.60,
           "overload: no tenant's goodput below 60% of fair share");
     check(res.stats.watchdog_violations == 0, "overload: the starvation watchdog never fired");
-    check(speedup >= 2.0, "overload: scheduler throughput >= 2x serial supervisor (" +
+    check(speedup >= 2.0, "overload: scheduler throughput >= 2x serial run (" +
                               std::to_string(speedup) + "x)");
 
     json.set("overload_jobs", oshape.njobs);

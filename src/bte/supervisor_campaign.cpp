@@ -199,17 +199,18 @@ const SupervisorCampaign::Reference& SupervisorCampaign::reference(const svc::Jo
   return refs_.emplace(key, std::move(ref)).first->second;
 }
 
-SupervisorReport SupervisorCampaign::run_stream(svc::Supervisor& supervisor,
+SupervisorReport SupervisorCampaign::run_stream(svc::Scheduler& scheduler,
                                                 const std::vector<svc::JobSpec>& jobs) {
   std::vector<std::string> submit_errors;
   for (const svc::JobSpec& spec : jobs) {
     try {
-      supervisor.submit(spec);
+      scheduler.submit(spec);
     } catch (const std::exception& e) {
       submit_errors.push_back("submit '" + spec.id + "': " + e.what());
     }
   }
-  SupervisorReport report = judge(jobs, supervisor.drain(), supervisor.options());
+  SupervisorReport report =
+      judge(jobs, scheduler.run({}).outcomes, scheduler.options().supervisor);
   report.violations.insert(report.violations.begin(), submit_errors.begin(),
                            submit_errors.end());
   return report;

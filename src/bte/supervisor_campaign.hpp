@@ -1,6 +1,6 @@
 #pragma once
 // Supervisor campaign: deterministic mixed job streams + the terminal-state
-// oracle that validates the svc::Supervisor end to end.
+// oracle that validates the svc::Scheduler job front end end to end.
 //
 // A campaign is (seed, StreamShape): a reproducible stream of jobs mixing
 // plain solves, survivable chaos schedules (drawn from rt::ChaosEngine, so
@@ -105,9 +105,9 @@ class SupervisorCampaign {
   // Deterministic in (seed, shape): same stream forever.
   std::vector<svc::JobSpec> mixed_stream(uint64_t seed, const StreamShape& shape);
 
-  // Submits `jobs`, drains the supervisor, judges the outcomes. Submission
+  // Submits `jobs`, runs the scheduler, judges the outcomes. Submission
   // failures become violations, not exceptions.
-  SupervisorReport run_stream(svc::Supervisor& supervisor,
+  SupervisorReport run_stream(svc::Scheduler& scheduler,
                               const std::vector<svc::JobSpec>& jobs);
 
   // Judge pre-existing outcomes (e.g. after a crash-restart drain) against

@@ -56,7 +56,9 @@ struct JsonCursor {
     uint64_t v = 0;
     while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i])))
       v = v * 10 + static_cast<uint64_t>(s[i++] - '0');
-    return neg ? -static_cast<int64_t>(v) : static_cast<int64_t>(v);
+    // Negate in unsigned arithmetic: "-9223372036854775808" is INT64_MIN and
+    // out-of-range magnitudes wrap, where a signed negation would overflow.
+    return static_cast<int64_t>(neg ? 0 - v : v);
   }
   uint64_t parse_u64() {
     skip_ws();

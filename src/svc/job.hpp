@@ -5,7 +5,7 @@
 // queue: which solver, what discretization, how many steps, an optional
 // deterministic chaos schedule to survive, an optional step deadline, and a
 // declared fallback ladder of smaller configurations admission control may
-// degrade to. The supervisor (svc/supervisor.hpp) drives every accepted spec
+// degrade to. The scheduler (svc/scheduler.hpp) drives every admitted spec
 // to exactly one terminal state:
 //
 //   Completed   — run finished all steps (possibly after retries/resumes)
@@ -57,8 +57,8 @@ struct JobSpec {
   // Multi-tenant scheduling (svc/scheduler.hpp): the tenant this job is
   // billed to (fair-share queue + memory partition) and its shedding
   // priority — higher values survive overload longer; under a full admission
-  // queue the lowest-priority job is shed first. The serial Supervisor
-  // ignores both.
+  // queue the lowest-priority job is shed first. With one tenant and an
+  // unbounded queue (the serial batch default) neither changes the outcome.
   std::string tenant = "default";
   int priority = 0;
   std::string solver = "cell";  // "cell" | "band" | "mgpu"

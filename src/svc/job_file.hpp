@@ -11,10 +11,10 @@
 // back into a job file.
 //
 // Second, the per-job durable records the crash-restart scan keys on:
-// `<root>/<id>/job.json` (the spec, committed at submit) and
+// `<root>/<id>/job.json` (the spec, committed when the job arrives) and
 // `<root>/<id>/terminal.json` (state + detail, committed atomically at the
 // terminal transition). A job directory with a spec but no terminal record
-// is an orphan: the supervisor died mid-job, and a restarted supervisor
+// is an orphan: the process died mid-job, and a restarted scheduler
 // re-adopts it.
 
 #include <string>

@@ -75,7 +75,6 @@ struct Scheduler::Job {
   int attempt_next = 0;
   int failures = 0;
   double pending_backoff = 0.0;
-  double job_virtual = 0.0;  // Σ attempt virtual + backoff (PR-8 semantics)
   JobOutcome out;
 };
 
@@ -142,19 +141,37 @@ double Scheduler::predicted_cost(const JobSpec& spec, int rung) {
   return predict_cost_units(engine_.resolve(spec, rung).cfg, spec.nsteps);
 }
 
+bool Scheduler::is_staged(const std::string& id) const {
+  return std::any_of(staged_.begin(), staged_.end(),
+                     [&](const Arrival& a) { return a.spec.id == id; });
+}
+
+void Scheduler::submit(JobSpec spec) {
+  detail::validate_spec(spec);
+  if (is_staged(spec.id))
+    throw std::invalid_argument("submit: duplicate job id '" + spec.id + "'");
+  staged_.push_back(Arrival{0.0, std::move(spec), /*adopted=*/false});
+}
+
 std::vector<std::string> Scheduler::adopt_orphans() {
   std::vector<std::string> ids;
   if (options_.supervisor.durable_root.empty()) return ids;
   rt::TraceSpan span("svc.adopt");
   std::set<std::string> skip;
-  for (const Arrival& a : adopted_) skip.insert(a.spec.id);
+  for (const Arrival& a : staged_) skip.insert(a.spec.id);
   auto& mx = rt::MetricsRegistry::global();
   for (JobSpec& spec : detail::scan_orphans(options_.supervisor.durable_root, skip)) {
     ids.push_back(spec.id);
-    adopted_.push_back(Arrival{0.0, std::move(spec), /*adopted=*/true});
+    staged_.push_back(Arrival{0.0, std::move(spec), /*adopted=*/true});
     mx.counter("svc.adopted").add(1.0);
   }
   return ids;
+}
+
+bool Scheduler::request_cancel(const std::string& id, std::string reason) {
+  if (!is_staged(id)) return false;
+  cancel_requests_[id] = reason.empty() ? "cancelled" : std::move(reason);
+  return true;
 }
 
 // ---- event loop ------------------------------------------------------------
@@ -194,8 +211,12 @@ void Scheduler::handle_arrival(Arrival&& a) {
   led.offered_units += cost;
   mx.counter("svc.jobs_submitted").add(1.0);
 
+  // Precedence: a cancel request beats everything, backpressure and
+  // shedding included — a cancelled job is not an admission decision.
+  const auto cancel = cancel_requests_.find(a.spec.id);
+  const bool cancelled = cancel != cancel_requests_.end();
   const int cap = options_.queue_capacity;
-  if (cap > 0 && total_queued() >= static_cast<size_t>(cap)) {
+  if (!cancelled && cap > 0 && total_queued() >= static_cast<size_t>(cap)) {
     // Queue full. Only *fresh* queued jobs (no attempt yet) are sheddable —
     // a retrying job holds durable progress and a budget reservation, which
     // are worth more than a blank arrival. Find the lowest-priority victim;
@@ -264,6 +285,12 @@ void Scheduler::handle_arrival(Arrival&& a) {
   jobs_.push_back(std::move(job));
   const size_t ji = jobs_.size() - 1;
   ++led.admitted;
+  if (cancelled) {
+    Job& j = *jobs_[ji];
+    j.out.ran = engine_.resolve(j.spec, -1).cfg;
+    settle_terminal(ji, TerminalState::Cancelled, "cancelled before start: " + cancel->second);
+    return;
+  }
   enqueue(ji);
 }
 
@@ -481,7 +508,6 @@ void Scheduler::process_completion(size_t slot_index) {
   AttemptEngine::Result r = std::move(s.result);
   r.rec.backoff_s = j.pending_backoff;
   j.pending_backoff = 0.0;
-  j.job_virtual += r.rec.backoff_s + r.rec.virtual_s;
   j.out.attempts.push_back(r.rec);
   j.out.stats = r.stats;
   j.out.final_step = r.rec.end_step;
@@ -568,11 +594,12 @@ ScheduleResult Scheduler::run(std::vector<Arrival> arrivals) {
   ran_ = true;
   rt::TraceSpan span("svc.sched");
 
-  // Adopted orphans rejoin the stream at vtime 0, ahead of fresh arrivals.
-  if (!adopted_.empty()) {
-    arrivals.insert(arrivals.begin(), std::make_move_iterator(adopted_.begin()),
-                    std::make_move_iterator(adopted_.end()));
-    adopted_.clear();
+  // Staged jobs (submitted and adopted) arrive at vtime 0, ahead of the
+  // schedule.
+  if (!staged_.empty()) {
+    arrivals.insert(arrivals.begin(), std::make_move_iterator(staged_.begin()),
+                    std::make_move_iterator(staged_.end()));
+    staged_.clear();
   }
   std::set<std::string> ids;
   double prev = 0.0;

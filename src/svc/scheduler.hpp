@@ -1,13 +1,17 @@
 #pragma once
 // Concurrent, multi-tenant, overload-resilient executor for BTE jobs.
 //
-// The Scheduler is the service front end of the supervisor family: it drives
-// an open-loop *arrival schedule* (jobs with virtual-clock arrival times) to
-// completion, running up to `max_concurrency` attempts at once on an
-// rt::ThreadPool while keeping every PR-8 invariant — exactly one terminal
-// state per admitted job, no step-0 replays past a durable checkpoint,
-// cancel > quarantine > retry > shed precedence, crash-restart adoption —
-// intact under interleaving.
+// The Scheduler is the one service front end for BTE jobs: it drives the
+// jobs staged by submit()/adopt_orphans() plus an open-loop *arrival
+// schedule* (jobs with virtual-clock arrival times) to completion, running
+// up to `max_concurrency` attempts at once on an rt::ThreadPool while keeping
+// every PR-8 invariant — exactly one terminal state per admitted job, no
+// step-0 replays past a durable checkpoint, cancel > quarantine > retry >
+// shed precedence, crash-restart adoption — intact under interleaving. A
+// serial run is simply max_concurrency = 1. Outcomes come back in completion
+// order, time_to_terminal_s is the sojourn time (arrival -> terminal) on the
+// virtual clock, and a retrying job keeps its admission reservation across
+// its backoff.
 //
 // Determinism under concurrency. The scheduler is a discrete-event simulator
 // on the shared virtual clock: arrivals, retry timers and attempt completions
@@ -47,9 +51,10 @@
 // `watchdog_boost_frac × max_queue_age_s` is dispatched next regardless of
 // DRR order (counted in `watchdog_boosts`); a job that ever waits past the
 // bound is a `watchdog_violation` — the overload oracle requires zero.
-// Retry storms are damped: more than `storm_threshold` retry requeues inside
-// a sliding `storm_window_s` stretches subsequent backoffs by
-// `storm_factor` (on top of per-job FNV jitter decorrelation).
+// Retry storms are damped, serial runs included: more than
+// `storm_threshold` retry requeues inside a sliding `storm_window_s`
+// stretches subsequent backoffs by `storm_factor` (on top of per-job FNV
+// jitter decorrelation).
 //
 // Observability: the run is wrapped in an `svc.sched` span, execution waves
 // in `svc.sched.wave`; metrics land under `svc.sched.*` (queue depth/age,
@@ -177,14 +182,30 @@ class Scheduler {
   Scheduler(const bte::BteScenario& base, SchedulerOptions options);
   ~Scheduler();
 
+  // Stages a job that arrives at vtime 0 of the next run(), after the jobs
+  // staged before it. Throws std::invalid_argument on duplicate ids, empty
+  // ids, unknown solver names (including fallback rungs), non-positive
+  // nsteps or dimensions, or negative fallback overrides.
+  void submit(JobSpec spec);
+
   // Crash restart: scan the durable root for job directories with a spec but
   // no terminal record and stage them as adopted arrivals at vtime 0 of the
   // next run(). Returns the adopted ids (sorted).
   std::vector<std::string> adopt_orphans();
 
-  // Drives the arrival schedule to completion: every admitted job reaches
-  // exactly one terminal state. Throws std::invalid_argument on malformed
-  // specs, duplicate ids or unsorted arrival times. One run per Scheduler.
+  // Cancels a staged job: when it arrives it settles Cancelled ("cancelled
+  // before start: <reason>") with zero attempts, before it can queue, be
+  // shed or be admitted. Returns false for an id that is not staged — an
+  // unknown one, or one run() has already settled.
+  bool request_cancel(const std::string& id, std::string reason = "cancelled");
+
+  // Jobs staged by submit() and adopt_orphans() for the next run().
+  size_t queue_depth() const { return staged_.size(); }
+
+  // Drives the staged jobs, then the arrival schedule, to completion: every
+  // admitted job reaches exactly one terminal state. Throws
+  // std::invalid_argument on malformed specs, duplicate ids or unsorted
+  // arrival times. One run per Scheduler; a serial run is max_concurrency 1.
   ScheduleResult run(std::vector<Arrival> arrivals);
 
   const SchedulerOptions& options() const { return options_; }
@@ -196,6 +217,7 @@ class Scheduler {
   struct RetryEvent;
 
   std::string job_dir(const std::string& id) const;
+  bool is_staged(const std::string& id) const;
   Tenant& tenant_of(const std::string& name);
   double predicted_cost(const JobSpec& spec, int rung);
   int brownout_level() const;
@@ -227,7 +249,8 @@ class Scheduler {
   std::vector<double> retry_times_;  // sliding window for storm detection
   double quantum_units_ = 0.0;
   double age_bound_s_ = 0.0;  // resolved starvation bound (0 = disabled)
-  std::vector<Arrival> adopted_;  // staged by adopt_orphans()
+  std::vector<Arrival> staged_;  // submit() and adopt_orphans(), in call order
+  std::map<std::string, std::string> cancel_requests_;  // staged id -> reason
   bool ran_ = false;
   ScheduleResult result_;
 };

@@ -9,7 +9,6 @@
 #include "job_file.hpp"
 #include "runtime/manifest.hpp"
 #include "runtime/metrics.hpp"
-#include "runtime/trace.hpp"
 
 namespace finch::svc {
 
@@ -31,15 +30,22 @@ void mkdir_p(const std::string& path) {
 
 void validate_spec(const JobSpec& spec) {
   if (spec.id.empty()) throw std::invalid_argument("submit: job id must not be empty");
-  if (spec.nsteps <= 0)
-    throw std::invalid_argument("submit: job '" + spec.id + "' has nsteps <= 0");
+  const std::string job = "submit: job '" + spec.id + "'";
+  if (spec.nsteps <= 0) throw std::invalid_argument(job + " has nsteps <= 0");
   if (!known_solver(spec.solver))
-    throw std::invalid_argument("submit: job '" + spec.id + "' names unknown solver '" +
-                                spec.solver + "'");
+    throw std::invalid_argument(job + " names unknown solver '" + spec.solver + "'");
+  const std::pair<const char*, int> dims[] = {{"nparts", spec.nparts}, {"nx", spec.nx},
+                                              {"ny", spec.ny},         {"ndirs", spec.ndirs},
+                                              {"nbands", spec.nbands}};
+  for (const auto& [name, v] : dims)
+    if (v <= 0) throw std::invalid_argument(job + " has " + name + " <= 0");
   for (const JobConfig& f : spec.fallbacks) {
     if (!f.solver.empty() && !known_solver(f.solver))
-      throw std::invalid_argument("submit: job '" + spec.id + "' fallback names unknown solver '" +
-                                  f.solver + "'");
+      throw std::invalid_argument(job + " fallback names unknown solver '" + f.solver + "'");
+    const std::pair<const char*, int> overrides[] = {
+        {"nparts", f.nparts}, {"nx", f.nx}, {"ny", f.ny}, {"ndirs", f.ndirs}, {"nbands", f.nbands}};
+    for (const auto& [name, v] : overrides)
+      if (v < 0) throw std::invalid_argument(job + " fallback has " + name + " < 0");
   }
 }
 
@@ -265,220 +271,6 @@ std::vector<rt::ChaosFault> AttemptEngine::minimize_repro(const Resolved& rj,
     }
   }
   return cur;
-}
-
-// ---- Supervisor ------------------------------------------------------------
-
-Supervisor::Supervisor(const bte::BteScenario& base, SupervisorOptions options)
-    : options_(std::move(options)), engine_(base, &options_) {
-  if (!options_.durable_root.empty()) detail::mkdir_p(options_.durable_root);
-}
-
-std::string Supervisor::job_dir(const std::string& id) const {
-  return options_.durable_root.empty() ? std::string() : options_.durable_root + "/" + id;
-}
-
-void Supervisor::submit(JobSpec spec) {
-  detail::validate_spec(spec);
-  if (known_ids_.count(spec.id))
-    throw std::invalid_argument("submit: duplicate job id '" + spec.id + "'");
-  const std::string dir = job_dir(spec.id);
-  if (!dir.empty()) {
-    detail::mkdir_p(dir);
-    write_text_file_atomic(dir + "/job.json", job_to_json(spec));
-  }
-  known_ids_.insert(spec.id);
-  queue_.push_back(QueueEntry{std::move(spec), /*adopted=*/false});
-  auto& mx = rt::MetricsRegistry::global();
-  mx.counter("svc.jobs_submitted").add(1.0);
-  mx.gauge("svc.queue_depth").set(static_cast<double>(queue_.size()));
-}
-
-std::vector<std::string> Supervisor::adopt_orphans() {
-  std::vector<std::string> adopted;
-  if (options_.durable_root.empty()) return adopted;
-  rt::TraceSpan span("svc.adopt");
-  auto& mx = rt::MetricsRegistry::global();
-  for (JobSpec& spec : detail::scan_orphans(options_.durable_root, known_ids_)) {
-    known_ids_.insert(spec.id);
-    adopted.push_back(spec.id);
-    queue_.push_back(QueueEntry{std::move(spec), /*adopted=*/true});
-    mx.counter("svc.adopted").add(1.0);
-  }
-  mx.gauge("svc.queue_depth").set(static_cast<double>(queue_.size()));
-  return adopted;
-}
-
-bool Supervisor::request_cancel(const std::string& id, std::string reason) {
-  if (!known_ids_.count(id) || terminal_ids_.count(id)) return false;
-  cancel_requests_[id] = reason.empty() ? "cancelled" : std::move(reason);
-  return true;
-}
-
-std::vector<JobOutcome> Supervisor::drain() {
-  std::vector<JobOutcome> outcomes;
-  auto& mx = rt::MetricsRegistry::global();
-  while (!queue_.empty()) {
-    QueueEntry entry = std::move(queue_.front());
-    queue_.erase(queue_.begin());
-    mx.gauge("svc.queue_depth").set(static_cast<double>(queue_.size()));
-    outcomes.push_back(run_job(entry));
-  }
-  return outcomes;
-}
-
-void Supervisor::finalize(JobOutcome& out, TerminalState state, std::string detail,
-                          double job_virtual_s, int64_t reserved_bytes,
-                          const std::string& dir) {
-  out.state = state;
-  out.detail = std::move(detail);
-  out.time_to_terminal_s = job_virtual_s;
-  virtual_now_ += job_virtual_s;
-  if (reserved_bytes > 0 && options_.memory != nullptr)
-    options_.memory->release(reserved_bytes);
-  if (!dir.empty()) {
-    try {
-      write_text_file_atomic(dir + "/terminal.json", terminal_to_json(state, out.detail));
-    } catch (const std::exception& e) {
-      out.detail += " (terminal record not durable: " + std::string(e.what()) + ")";
-    }
-  }
-  terminal_ids_.insert(out.spec.id);
-  cancel_requests_.erase(out.spec.id);
-  auto& mx = rt::MetricsRegistry::global();
-  mx.counter(std::string("svc.jobs_") + terminal_state_name(state)).add(1.0);
-  mx.histogram(std::string("svc.latency.") + terminal_state_name(state))
-      .observe(out.time_to_terminal_s);
-}
-
-JobOutcome Supervisor::run_job(const QueueEntry& entry) {
-  rt::TraceSpan span("svc.job");
-  const JobSpec& spec = entry.spec;
-  JobOutcome out;
-  out.spec = spec;
-  out.adopted = entry.adopted;
-  const std::string dir = job_dir(spec.id);
-  auto& mx = rt::MetricsRegistry::global();
-
-  // Precedence: an external cancel beats everything, including shedding —
-  // a cancelled queued job must not be reported as an admission decision.
-  {
-    auto it = cancel_requests_.find(spec.id);
-    if (it != cancel_requests_.end()) {
-      out.ran = engine_.resolve(spec, -1).cfg;
-      finalize(out, TerminalState::Cancelled, "cancelled before start: " + it->second, 0.0, 0,
-               dir);
-      return out;
-    }
-  }
-
-  // Admission: walk the ladder with pure arithmetic against the budget —
-  // the shed path never calls into MemoryBudget at all.
-  int chosen = -2;
-  AttemptEngine::Resolved rj;
-  bte::MemoryDemand demand;
-  for (int rung = -1; rung < static_cast<int>(spec.fallbacks.size()); ++rung) {
-    AttemptEngine::Resolved cand = engine_.resolve(spec, rung);
-    bte::MemoryDemand d =
-        bte::estimate_memory_demand(cand.cfg.solver, cand.scenario, *cand.physics,
-                                    cand.cfg.nparts);
-    const rt::MemoryBudget* mem = options_.memory;
-    const bool fits = mem == nullptr || mem->capacity() <= 0 ||
-                      mem->in_use() + d.total_bytes() <= mem->capacity();
-    if (fits) {
-      chosen = rung;
-      rj = std::move(cand);
-      demand = d;
-      break;
-    }
-  }
-  if (chosen == -2) {
-    out.ran = engine_.resolve(spec, -1).cfg;
-    finalize(out, TerminalState::Shed,
-             "admission: no rung of the fallback ladder fits the memory budget", 0.0, 0, dir);
-    return out;
-  }
-  out.ran = rj.cfg;
-  out.degraded_rung = chosen;
-  if (chosen >= 0) mx.counter("svc.degraded").add(1.0);
-
-  int64_t reserved = 0;
-  if (options_.memory != nullptr && options_.memory->capacity() > 0) {
-    reserved = demand.admission_bytes();
-    if (!options_.memory->try_reserve(reserved)) {
-      // Cannot happen after the arithmetic fit above in a single-threaded
-      // supervisor; kept as a defensive terminal path.
-      finalize(out, TerminalState::Shed, "admission: reservation failed", 0.0, 0, dir);
-      return out;
-    }
-  }
-
-  // Attempt compute and retry backoff are summed apart: the job's virtual time
-  // is (Σ attempt virtual_s) + (Σ backoff_s), each summed in attempt order.
-  double job_compute = 0.0;
-  double job_backoff = 0.0;
-  double pending_backoff = 0.0;
-  int failures = 0;
-  for (int attempt = 0;; ++attempt) {
-    std::string cancel_reason;
-    {
-      auto it = cancel_requests_.find(spec.id);
-      if (it != cancel_requests_.end()) cancel_reason = it->second;
-    }
-    const uint64_t seed = AttemptEngine::attempt_seed(spec.seed, attempt);
-    rt::SpanAttrs attrs;
-    attrs.step = attempt;
-    rt::TraceSpan aspan("svc.attempt", attrs);
-    AttemptEngine::Result r =
-        engine_.run_attempt(rj, attempt, seed, dir, cancel_reason, spec.faults, options_.memory);
-    r.rec.backoff_s = pending_backoff;
-    pending_backoff = 0.0;
-    job_compute += r.rec.virtual_s;
-    job_backoff += r.rec.backoff_s;
-    const double job_virtual = job_compute + job_backoff;
-    out.attempts.push_back(r.rec);
-    out.stats = r.stats;
-    out.final_step = r.rec.end_step;
-
-    if (!r.completed && !r.drained) ++failures;
-    const AttemptEngine::Decision d = engine_.decide(r, attempt, failures);
-    switch (d.next) {
-      case AttemptEngine::Next::Complete:
-        out.temperature = std::move(r.T);
-        out.intensity = std::move(r.I);
-        finalize(out, TerminalState::Completed, d.detail, job_virtual, reserved, dir);
-        return out;
-      case AttemptEngine::Next::Drain:
-        finalize(out, TerminalState::Cancelled, d.detail, job_virtual, reserved, dir);
-        return out;
-      case AttemptEngine::Next::Quarantine: {
-        rt::ChaosSchedule repro;
-        repro.seed = spec.seed;
-        repro.index = 0;
-        repro.solver = rj.cfg.solver;
-        repro.nparts = rj.cfg.nparts;
-        repro.nsteps = spec.nsteps;
-        repro.faults = engine_.minimize_repro(rj, options_.memory);
-        out.repro_json = rt::schedule_to_json(repro);
-        if (!dir.empty()) {
-          out.repro_path = dir + "/QUARANTINE_repro.json";
-          try {
-            write_text_file_atomic(out.repro_path, out.repro_json);
-          } catch (const std::exception&) {
-            out.repro_path.clear();
-          }
-        }
-        finalize(out, TerminalState::Quarantined, d.detail, job_virtual, reserved, dir);
-        return out;
-      }
-      case AttemptEngine::Next::Retry:
-        // Charged into job_backoff when the next attempt records it.
-        pending_backoff = backoff_with_jitter(options_.retry, spec.id, failures - 1);
-        mx.counter("svc.retries").add(1.0);
-        mx.counter("svc.backoff_seconds").add(pending_backoff);
-        break;
-    }
-  }
 }
 
 }  // namespace finch::svc

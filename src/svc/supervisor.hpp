@@ -1,11 +1,12 @@
 #pragma once
-// Resilient job supervisor: drives every submitted BTE job to one terminal
-// state under composed robustness policies.
+// Resilient job supervision: the per-attempt core that drives every BTE job
+// to one terminal state under composed robustness policies.
 //
 // The per-attempt mechanics live in AttemptEngine — an attempt-granularity
-// state machine shared by the serial Supervisor below and the concurrent
-// multi-tenant Scheduler (svc/scheduler.hpp). One engine pass composes the
-// runtime primitives the earlier layers proved out:
+// state machine driven by the job front end, svc::Scheduler
+// (svc/scheduler.hpp); a serial run is the scheduler at max_concurrency = 1.
+// One engine pass composes the runtime primitives the earlier layers proved
+// out:
 //
 //   retry     — a failed attempt is retried with exponential backoff +
 //               deterministic jitter charged to the virtual clock, under a
@@ -17,29 +18,32 @@
 //               the job permanently, with the fault schedule ddmin-minimized
 //               into a replayable repro artifact
 //   admission — before anything allocates, the job's declared fallback
-//               ladder is walked against the shared rt::MemoryBudget using
-//               the estimate_memory_demand model; the first rung that fits
-//               is admitted (degraded if it is not the top rung), and a job
-//               no rung can fit is shed WITHOUT ever touching the budget
-//   deadline  — per-job step deadlines and external cancel requests drain
-//               the run cooperatively at a step boundary via rt::CancelToken;
-//               a drained durable job stays resumable on disk
+//               ladder is walked against the tenant's partition of the
+//               shared rt::MemoryBudget using the estimate_memory_demand
+//               model; the first rung that fits is admitted (degraded if it
+//               is not the top rung), and a job no rung can fit is shed
+//               WITHOUT ever touching the budget
+//   deadline  — per-job step deadlines (and run_attempt's cancel_reason)
+//               drain the run cooperatively at a step boundary via
+//               rt::CancelToken; a drained durable job stays resumable on disk
 //
-// Policy precedence within one pass: cancel > quarantine > retry > shed.
+// Policy precedence: cancel > quarantine > retry > shed (a cancel request
+// against a staged job settles it before it can queue; see
+// Scheduler::request_cancel).
 //
 // Crash safety: with a durable root every job directory carries job.json
-// (committed at submit) and terminal.json (committed atomically at the
-// terminal transition). A restarted supervisor calls adopt_orphans() to
-// re-queue every job directory that has a spec but no terminal record —
-// exactly the jobs a dead supervisor left in flight — and their first
-// attempt resumes from the on-disk manifest like any retry.
+// (committed when the job arrives) and terminal.json (committed atomically
+// at the terminal transition). A restarted scheduler calls adopt_orphans()
+// to re-queue every job directory that has a spec but no terminal record —
+// exactly the jobs a dead process left in flight — and their first attempt
+// resumes from the on-disk manifest like any retry.
 //
-// Everything is traced (svc.job / svc.attempt / svc.adopt spans) and metered
-// (svc.jobs_*, svc.retries, svc.backoff_seconds, svc.queue_depth, per-state
-// svc.latency.* histograms) through the PR-5 observability layer.
+// The scheduler traces each attempt (svc.attempt spans) and meters the job
+// lifecycle (svc.jobs_*, svc.retries, svc.backoff_seconds, per-state
+// svc.latency.* histograms) through the PR-5 observability layer; repro
+// minimization here counts svc.shrink_runs.
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -86,8 +90,8 @@ class AttemptEngine {
     std::string detail;  // terminal detail for Complete/Drain/Quarantine
   };
 
-  // `options` must outlive the engine (the owning Supervisor/Scheduler holds
-  // it). Validates once.
+  // `options` must outlive the engine (the owning Scheduler holds it).
+  // Validates once.
   AttemptEngine(const bte::BteScenario& base, const SupervisorOptions* options);
 
   // Derived injector seed for retry `attempt` (attempt 0 uses the base seed
@@ -100,7 +104,7 @@ class AttemptEngine {
   // Runs one attempt: arm faults, resume from the durable manifest when one
   // exists, run to the end or a drain, classify. `memory` is the budget this
   // attempt's live allocations charge (the scheduler passes a per-attempt
-  // view of the tenant partition; the serial supervisor its shared budget).
+  // view of the tenant partition).
   Result run_attempt(const Resolved& rj, int attempt_index, uint64_t seed,
                      const std::string& job_dir, const std::string& cancel_reason,
                      const std::vector<rt::ChaosFault>& faults,
@@ -120,64 +124,14 @@ class AttemptEngine {
   bte::PhysicsCache physics_;
 };
 
-// Serial supervisor: one job at a time, submission order. The concurrent
-// multi-tenant front end is svc::Scheduler.
-class Supervisor {
- public:
-  // `base` supplies the physical parameters (domain size, temperatures, dt);
-  // each job overrides the discretization. Validates `options` up front.
-  Supervisor(const bte::BteScenario& base, SupervisorOptions options);
-
-  // Enqueues a job; with a durable root, commits <root>/<id>/job.json first.
-  // Throws std::invalid_argument on duplicate ids, empty ids, unknown solver
-  // names (including fallback rungs) or non-positive nsteps.
-  void submit(JobSpec spec);
-
-  // Scans the durable root for job directories with a spec but no terminal
-  // record and re-queues them (marked adopted). Returns the adopted ids.
-  std::vector<std::string> adopt_orphans();
-
-  // Requests cooperative cancellation: a queued job terminates Cancelled
-  // before its first step, a running job drains at its next step boundary.
-  // Returns false if the id is unknown or already terminal.
-  bool request_cancel(const std::string& id, std::string reason = "cancelled");
-
-  // Runs every queued job to a terminal state; returns their outcomes in
-  // completion order.
-  std::vector<JobOutcome> drain();
-
-  size_t queue_depth() const { return queue_.size(); }
-  // Virtual seconds consumed by all attempts + backoff so far.
-  double virtual_now() const { return virtual_now_; }
-  const SupervisorOptions& options() const { return options_; }
-
- private:
-  struct QueueEntry {
-    JobSpec spec;
-    bool adopted = false;
-  };
-
-  JobOutcome run_job(const QueueEntry& entry);
-  void finalize(JobOutcome& out, TerminalState state, std::string detail, double job_virtual_s,
-                int64_t reserved_bytes, const std::string& job_dir);
-  std::string job_dir(const std::string& id) const;
-
-  SupervisorOptions options_;
-  AttemptEngine engine_;  // after options_: holds a pointer to it
-  std::vector<QueueEntry> queue_;
-  std::map<std::string, std::string> cancel_requests_;  // id -> reason
-  std::set<std::string> known_ids_;                     // queued + terminal
-  std::set<std::string> terminal_ids_;
-  double virtual_now_ = 0.0;
-};
-
-// Shared helpers for the supervisor family (scheduler reuses them).
+// Shared helpers of the job front end.
 namespace detail {
 // mkdir -p; EEXIST is fine.
 void mkdir_p(const std::string& path);
 bool known_solver(const std::string& s);
-// Throws std::invalid_argument unless `spec` is well-formed (non-empty id,
-// known solver names, positive nsteps).
+// Throws std::invalid_argument unless `spec` is well-formed: non-empty id,
+// known solver names, positive nsteps, nparts, nx, ny, ndirs and nbands, and
+// fallback overrides >= 0 (0 inherits the top-level value).
 void validate_spec(const JobSpec& spec);
 // Deterministic (sorted) scan of `durable_root` for job directories with a
 // spec but no terminal record; ids in `skip` are ignored.

@@ -21,7 +21,6 @@
 #include "runtime/memory.hpp"
 #include "svc/job_file.hpp"
 #include "svc/scheduler.hpp"
-#include "svc/supervisor.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/wait.h>
@@ -128,34 +127,89 @@ TEST(SchedulerOptions_, ValidationRejectsContradictions) {
   EXPECT_THROW(sched.run({}), std::invalid_argument);  // one run per scheduler
 }
 
+namespace {
+
+// Serial reference: each job in order, attempts back to back through the
+// AttemptEngine until its verdict is terminal — the per-job logic with no
+// scheduler around it.
+std::vector<JobOutcome> serial_reference(const std::vector<JobSpec>& specs,
+                                         const SupervisorOptions& opt) {
+  AttemptEngine engine(base_scenario(), &opt);
+  std::vector<JobOutcome> outcomes;
+  for (const JobSpec& spec : specs) {
+    const AttemptEngine::Resolved rj = engine.resolve(spec, -1);
+    const std::string dir = opt.durable_root + "/" + spec.id;
+    detail::mkdir_p(dir);
+    JobOutcome out;
+    out.spec = spec;
+    int failures = 0;
+    for (int attempt = 0;; ++attempt) {
+      AttemptEngine::Result r =
+          engine.run_attempt(rj, attempt, AttemptEngine::attempt_seed(spec.seed, attempt), dir,
+                             "", spec.faults, nullptr);
+      out.attempts.push_back(r.rec);
+      if (!r.completed && !r.drained) ++failures;
+      const AttemptEngine::Decision d = engine.decide(r, attempt, failures);
+      if (d.next == AttemptEngine::Next::Retry) continue;
+      out.state = d.next == AttemptEngine::Next::Complete ? TerminalState::Completed
+                  : d.next == AttemptEngine::Next::Drain  ? TerminalState::Cancelled
+                                                          : TerminalState::Quarantined;
+      out.detail = d.detail;
+      out.temperature = std::move(r.T);
+      out.intensity = std::move(r.I);
+      break;
+    }
+    outcomes.push_back(std::move(out));
+  }
+  return outcomes;
+}
+
+}  // namespace
+
 TEST(SchedulerEquivalence, SingleSlotMatchesSerialSupervisorBitExactly) {
-  // mc=1, unbounded queue, one tenant: the scheduler is a reordering-free
-  // supervisor; completed fields must be bit-identical to the serial path.
-  std::vector<JobSpec> specs;
-  specs.push_back(small_job("a", "cell"));
-  specs.push_back(small_job("b", "band"));
-  JobSpec d = small_job("c", "cell");
-  d.deadline_steps = 4;
-  specs.push_back(d);
-  specs.push_back(poison_job("p"));
+  // mc=1, unbounded queue, one tenant: every job of a high-density mixed
+  // stream (chaos, flaky, poison, deadline jobs) must end exactly as the
+  // serial AttemptEngine loop ends it — state, detail, per-attempt
+  // provenance and the temperature/intensity bits.
+  bte::SupervisorCampaign campaign(base_scenario());
+  bte::StreamShape shape;  // defaults are the high-density mix
+  shape.njobs = 20;
+  const std::vector<JobSpec> specs = campaign.mixed_stream(1, shape);
 
-  Supervisor serial(base_scenario(), SupervisorOptions{});
-  for (const JobSpec& s : specs) serial.submit(s);
-  const std::vector<JobOutcome> ref = serial.drain();
+  SupervisorOptions ref_opt;
+  ref_opt.durable_root = fresh_root("equiv_ref");
+  const std::vector<JobOutcome> ref = serial_reference(specs, ref_opt);
 
-  Scheduler sched(base_scenario(), SchedulerOptions{});
-  const ScheduleResult got = sched.run(at_time_zero(specs));
+  SchedulerOptions opt;
+  opt.supervisor.durable_root = fresh_root("equiv");
+  Scheduler sched(base_scenario(), opt);
+  for (const JobSpec& s : specs) sched.submit(s);
+  const ScheduleResult got = sched.run({});
   ASSERT_EQ(got.outcomes.size(), ref.size());
+  int retried = 0;
   for (const JobOutcome& r : ref) {
     const JobOutcome* g = find_outcome(got.outcomes, r.spec.id);
     ASSERT_NE(g, nullptr) << r.spec.id;
     EXPECT_EQ(g->state, r.state) << r.spec.id;
-    EXPECT_EQ(g->attempts.size(), r.attempts.size()) << r.spec.id;
+    EXPECT_EQ(g->detail, r.detail) << r.spec.id;
+    ASSERT_EQ(g->attempts.size(), r.attempts.size()) << r.spec.id;
+    for (size_t k = 0; k < r.attempts.size(); ++k) {
+      const AttemptRecord& ga = g->attempts[k];
+      const AttemptRecord& ra = r.attempts[k];
+      EXPECT_EQ(ga.index, ra.index) << r.spec.id << " attempt " << k;
+      EXPECT_EQ(ga.injector_seed, ra.injector_seed) << r.spec.id << " attempt " << k;
+      EXPECT_EQ(ga.resumed, ra.resumed) << r.spec.id << " attempt " << k;
+      EXPECT_EQ(ga.start_step, ra.start_step) << r.spec.id << " attempt " << k;
+      EXPECT_EQ(ga.end_step, ra.end_step) << r.spec.id << " attempt " << k;
+      EXPECT_EQ(ga.injected, ra.injected) << r.spec.id << " attempt " << k;
+      EXPECT_EQ(ga.error, ra.error) << r.spec.id << " attempt " << k;
+    }
+    if (r.attempts.size() > 1) ++retried;
     EXPECT_EQ(g->temperature, r.temperature) << r.spec.id;
     EXPECT_EQ(g->intensity, r.intensity) << r.spec.id;
   }
+  EXPECT_GT(retried, 0);  // the stream exercised retries, not only clean runs
 
-  bte::SupervisorCampaign campaign(base_scenario());
   const auto report = campaign.judge(specs, got.outcomes, sched.options().supervisor);
   EXPECT_TRUE(report.ok()) << (report.violations.empty() ? "" : report.violations.front());
 }
@@ -205,6 +259,35 @@ TEST(SchedulerOverload, FullQueueRejectsWithRetryAfterAndShedsLowestPriorityFirs
       EXPECT_TRUE(o.attempts.empty()) << o.spec.id;
     }
   EXPECT_EQ(shed, 2);
+}
+
+TEST(SchedulerCancel, StagedCancelBeatsBackpressureAndShedding) {
+  // Capacity 1, one slot: the third staged arrival finds the queue full and
+  // would be rejected (equal priority). A cancel request on it wins first:
+  // it settles Cancelled on arrival, is neither rejected nor shed, and never
+  // runs. Once run() has settled it, it cannot be cancelled again.
+  SchedulerOptions opt;
+  opt.queue_capacity = 1;
+  Scheduler sched(base_scenario(), opt);
+  for (const char* id : {"run-0", "run-1", "cancel-me"}) sched.submit(small_job(id));
+  EXPECT_EQ(sched.queue_depth(), 3u);
+  EXPECT_TRUE(sched.request_cancel("cancel-me", ""));
+  EXPECT_FALSE(sched.request_cancel("never-submitted"));
+  const ScheduleResult res = sched.run({});
+  EXPECT_EQ(sched.queue_depth(), 0u);
+  ASSERT_EQ(res.outcomes.size(), 3u);
+  EXPECT_TRUE(res.stats.rejects.empty());
+  EXPECT_TRUE(res.stats.shed_audits.empty());
+  const JobOutcome* c = find_outcome(res.outcomes, "cancel-me");
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->state, TerminalState::Cancelled);
+  EXPECT_EQ(c->detail, "cancelled before start: cancelled");
+  EXPECT_TRUE(c->attempts.empty());
+  EXPECT_EQ(c->time_to_terminal_s, 0.0);
+  for (const char* id : {"run-0", "run-1"})
+    EXPECT_EQ(find_outcome(res.outcomes, id)->state, TerminalState::Completed) << id;
+  EXPECT_EQ(res.stats.tenants.at("default").admitted, 3);
+  EXPECT_FALSE(sched.request_cancel("cancel-me"));
 }
 
 TEST(SchedulerFairness, DeficitRoundRobinProtectsModestTenantFromFlood) {

@@ -1,6 +1,7 @@
-// Resilient job supervisor: terminal-state guarantees, policy precedence
-// (cancel > quarantine > retry > shed), retry-with-resume, the poison circuit
-// breaker, admission control with fallback ladders, deadline drains, and
+// Resilient job supervision through a serial (max_concurrency = 1)
+// svc::Scheduler: terminal-state guarantees, policy precedence (cancel >
+// quarantine > retry > shed), retry-with-resume, the poison circuit breaker,
+// admission control with fallback ladders, deadline drains, and
 // crash-restart adoption of orphaned durable jobs.
 //
 // The tentpole property: every submitted job reaches exactly one terminal
@@ -21,7 +22,7 @@
 #include "runtime/checkpoint.hpp"
 #include "runtime/memory.hpp"
 #include "svc/job_file.hpp"
-#include "svc/supervisor.hpp"
+#include "svc/scheduler.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/stat.h>
@@ -84,6 +85,22 @@ std::string fresh_root(const std::string& name) {
 JobOutcome only(const std::vector<JobOutcome>& outcomes) {
   EXPECT_EQ(outcomes.size(), 1u);
   return outcomes.front();
+}
+
+// The serial front end: one slot, unbounded queue, one tenant.
+SchedulerOptions serial(SupervisorOptions opt) {
+  SchedulerOptions o;
+  o.supervisor = std::move(opt);
+  return o;
+}
+
+std::vector<JobOutcome> drain(Scheduler& sched) { return sched.run({}).outcomes; }
+
+const JobOutcome* find_outcome(const std::vector<JobOutcome>& outcomes,
+                               const std::string& id) {
+  for (const JobOutcome& o : outcomes)
+    if (o.spec.id == id) return &o;
+  return nullptr;
 }
 
 }  // namespace
@@ -171,8 +188,8 @@ TEST(Supervisor, FaultFreeStreamCompletesBitExact) {
   const auto jobs = campaign.mixed_stream(11, shape);
   ASSERT_EQ(jobs.size(), 6u);
 
-  Supervisor sup(base_scenario(), SupervisorOptions{});
-  const bte::SupervisorReport report = campaign.run_stream(sup, jobs);
+  Scheduler sched(base_scenario(), SchedulerOptions{});
+  const bte::SupervisorReport report = campaign.run_stream(sched, jobs);
   EXPECT_TRUE(report.ok()) << (report.violations.empty() ? "" : report.violations.front());
   EXPECT_EQ(report.completed, 6);
   EXPECT_EQ(report.nonterminal, 0);
@@ -191,8 +208,8 @@ TEST(Supervisor, ChaosScheduleSurvivesWithinOneAttempt) {
   spec.faults = engine.generate("cell", cs, 0).faults;
   ASSERT_FALSE(spec.faults.empty());
 
-  Supervisor sup(base_scenario(), SupervisorOptions{});
-  const bte::SupervisorReport report = campaign.run_stream(sup, {spec});
+  Scheduler sched(base_scenario(), SchedulerOptions{});
+  const bte::SupervisorReport report = campaign.run_stream(sched, {spec});
   EXPECT_TRUE(report.ok()) << (report.violations.empty() ? "" : report.violations.front());
   const JobOutcome o = only(report.outcomes);
   EXPECT_EQ(o.state, TerminalState::Completed);
@@ -205,9 +222,9 @@ TEST(Supervisor, PoisonJobTripsCircuitBreakerWithRepro) {
   const std::string root = fresh_root("poison");
   SupervisorOptions opt;
   opt.durable_root = root;
-  Supervisor sup(base_scenario(), opt);
-  sup.submit(poison_job("toxic"));
-  const JobOutcome o = only(sup.drain());
+  Scheduler sched(base_scenario(), serial(opt));
+  sched.submit(poison_job("toxic"));
+  const JobOutcome o = only(drain(sched));
 
   EXPECT_EQ(o.state, TerminalState::Quarantined);
   EXPECT_NE(o.detail.find("circuit breaker"), std::string::npos) << o.detail;
@@ -225,12 +242,12 @@ TEST(Supervisor, PoisonJobTripsCircuitBreakerWithRepro) {
   ASSERT_FALSE(o.repro_path.empty());
   EXPECT_EQ(rt::schedule_from_json(read_text_file(o.repro_path)).faults.size(),
             repro.faults.size());
-  // Terminal record committed: a restarted supervisor must NOT re-adopt it.
+  // Terminal record committed: a restarted scheduler must NOT re-adopt it.
   TerminalState ts{};
   std::string detail;
   terminal_from_json(read_text_file(root + "/toxic/terminal.json"), &ts, &detail);
   EXPECT_EQ(ts, TerminalState::Quarantined);
-  Supervisor again(base_scenario(), opt);
+  Scheduler again(base_scenario(), serial(opt));
   EXPECT_TRUE(again.adopt_orphans().empty());
 }
 
@@ -242,9 +259,9 @@ TEST(Supervisor, RetryBudgetExhaustedExactlyAtQuarantineThreshold) {
   opt.durable_root = root;
   opt.quarantine.threshold = 3;
   opt.retry.max_retries = 2;
-  Supervisor sup(base_scenario(), opt);
-  sup.submit(poison_job("edge"));
-  const JobOutcome o = only(sup.drain());
+  Scheduler sched(base_scenario(), serial(opt));
+  sched.submit(poison_job("edge"));
+  const JobOutcome o = only(drain(sched));
   EXPECT_EQ(o.state, TerminalState::Quarantined);
   EXPECT_EQ(o.attempts.size(), 3u);
   // Precedence: the breaker (quarantine) claims it, and only one terminal
@@ -260,9 +277,9 @@ TEST(Supervisor, RetryBudgetExhaustedExactlyAtQuarantineThreshold) {
   SupervisorOptions tight = opt;
   tight.durable_root = fresh_root("budget_tight");
   tight.retry.max_retries = 1;
-  Supervisor sup2(base_scenario(), tight);
-  sup2.submit(poison_job("tight"));
-  const JobOutcome o2 = only(sup2.drain());
+  Scheduler sched2(base_scenario(), serial(tight));
+  sched2.submit(poison_job("tight"));
+  const JobOutcome o2 = only(drain(sched2));
   EXPECT_EQ(o2.state, TerminalState::Quarantined);
   EXPECT_EQ(o2.attempts.size(), 2u);
   EXPECT_NE(o2.detail.find("retry budget exhausted"), std::string::npos) << o2.detail;
@@ -281,8 +298,8 @@ TEST(Supervisor, FlakyJobRetryResumesFromManifestNotStepZero) {
 
   SupervisorOptions opt;
   opt.durable_root = fresh_root("flaky");
-  Supervisor sup(base_scenario(), opt);
-  const bte::SupervisorReport report = campaign.run_stream(sup, jobs);
+  Scheduler sched(base_scenario(), serial(opt));
+  const bte::SupervisorReport report = campaign.run_stream(sched, jobs);
   EXPECT_TRUE(report.ok()) << (report.violations.empty() ? "" : report.violations.front());
   const JobOutcome o = only(report.outcomes);
   EXPECT_EQ(o.state, TerminalState::Completed);
@@ -297,21 +314,24 @@ TEST(Supervisor, FlakyJobRetryResumesFromManifestNotStepZero) {
   // Backoff was charged to the virtual clock, deterministically.
   EXPECT_DOUBLE_EQ(o.attempts[1].backoff_s,
                    backoff_with_jitter(opt.retry, o.spec.id, 0));
-  EXPECT_GE(o.time_to_terminal_s,
-            o.attempts[0].virtual_s + o.attempts[1].virtual_s + o.attempts[1].backoff_s);
+  // Sojourn on the scheduler's virtual clock: attempt, backoff, attempt, each
+  // attempt lasting its predicted cost.
+  const double d =
+      predict_cost_units(o.ran, o.spec.nsteps) * sched.options().cost_per_unit_s;
+  EXPECT_DOUBLE_EQ(o.time_to_terminal_s, (d + o.attempts[1].backoff_s) + d);
 }
 
 TEST(Supervisor, DeadlineDrainsToCancelledAndStaysResumable) {
   const std::string root = fresh_root("deadline");
   SupervisorOptions opt;
   opt.durable_root = root;
-  Supervisor sup(base_scenario(), opt);
+  Scheduler sched(base_scenario(), serial(opt));
   JobSpec spec = small_job("late");
   spec.nsteps = 10;
   spec.deadline_steps = 4;
   spec.ckpt_interval = 2;
-  sup.submit(spec);
-  const JobOutcome o = only(sup.drain());
+  sched.submit(spec);
+  const JobOutcome o = only(drain(sched));
   EXPECT_EQ(o.state, TerminalState::Cancelled);
   EXPECT_NE(o.detail.find("deadline"), std::string::npos) << o.detail;
   EXPECT_GE(o.final_step, 4);
@@ -323,33 +343,39 @@ TEST(Supervisor, DeadlineDrainsToCancelledAndStaysResumable) {
 }
 
 TEST(Supervisor, CancelRequestPreemptsQueuedJob) {
-  Supervisor sup(base_scenario(), SupervisorOptions{});
-  sup.submit(small_job("first"));
-  sup.submit(small_job("second"));
-  EXPECT_EQ(sup.queue_depth(), 2u);
-  EXPECT_TRUE(sup.request_cancel("second", "operator said no"));
-  EXPECT_FALSE(sup.request_cancel("nonexistent"));
-  const auto outcomes = sup.drain();
+  Scheduler sched(base_scenario(), SchedulerOptions{});
+  sched.submit(small_job("first"));
+  sched.submit(small_job("second"));
+  EXPECT_EQ(sched.queue_depth(), 2u);
+  EXPECT_TRUE(sched.request_cancel("second", "operator said no"));
+  EXPECT_FALSE(sched.request_cancel("nonexistent"));
+  const auto outcomes = drain(sched);
   ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_EQ(outcomes[0].state, TerminalState::Completed);
-  EXPECT_EQ(outcomes[1].state, TerminalState::Cancelled);
-  EXPECT_NE(outcomes[1].detail.find("operator said no"), std::string::npos);
+  // Completion order: the cancel settles on arrival, before "first" runs.
+  EXPECT_EQ(outcomes[0].spec.id, "second");
+  const JobOutcome* first = find_outcome(outcomes, "first");
+  const JobOutcome* second = find_outcome(outcomes, "second");
+  ASSERT_NE(first, nullptr);
+  ASSERT_NE(second, nullptr);
+  EXPECT_EQ(first->state, TerminalState::Completed);
+  EXPECT_EQ(second->state, TerminalState::Cancelled);
+  EXPECT_NE(second->detail.find("operator said no"), std::string::npos);
   // Cancel beat admission and retry: the job never ran an attempt.
-  EXPECT_TRUE(outcomes[1].attempts.empty());
+  EXPECT_TRUE(second->attempts.empty());
   // Terminal jobs cannot be cancelled again.
-  EXPECT_FALSE(sup.request_cancel("second"));
+  EXPECT_FALSE(sched.request_cancel("second"));
 }
 
 TEST(Supervisor, ShedJobNeverTouchesTheMemoryBudget) {
   rt::MemoryBudget budget(8 << 20);  // 8 MB: far too small for any solve
   SupervisorOptions opt;
   opt.memory = &budget;
-  Supervisor sup(base_scenario(), opt);
+  Scheduler sched(base_scenario(), serial(opt));
   JobSpec spec = small_job("huge");
   spec.nx = 64;
   spec.ny = 64;
-  sup.submit(spec);
-  const JobOutcome o = only(sup.drain());
+  sched.submit(spec);
+  const JobOutcome o = only(drain(sched));
   EXPECT_EQ(o.state, TerminalState::Shed);
   EXPECT_TRUE(o.attempts.empty());
   // The shed path is pure arithmetic: no reservation, no relief chain run,
@@ -376,7 +402,7 @@ TEST(Supervisor, FallbackLadderDegradesBeforeShedding) {
   rt::MemoryBudget budget(small_demand.total_bytes() * 2);
   SupervisorOptions opt;
   opt.memory = &budget;
-  Supervisor sup(base_scenario(), opt);
+  Scheduler sched(base_scenario(), serial(opt));
   JobSpec spec = small_job("ladder");
   spec.nx = 64;
   spec.ny = 64;
@@ -384,8 +410,8 @@ TEST(Supervisor, FallbackLadderDegradesBeforeShedding) {
   rung.nx = 12;
   rung.ny = 8;
   spec.fallbacks.push_back(rung);
-  sup.submit(spec);
-  const JobOutcome o = only(sup.drain());
+  sched.submit(spec);
+  const JobOutcome o = only(drain(sched));
   EXPECT_EQ(o.state, TerminalState::Completed);
   EXPECT_EQ(o.degraded_rung, 0);
   EXPECT_EQ(o.ran.nx, 12);
@@ -400,29 +426,58 @@ TEST(Supervisor, FallbackLadderDegradesBeforeShedding) {
 }
 
 TEST(Supervisor, DuplicateAndInvalidSubmissionsRejected) {
-  Supervisor sup(base_scenario(), SupervisorOptions{});
-  sup.submit(small_job("dup"));
-  EXPECT_THROW(sup.submit(small_job("dup")), std::invalid_argument);
+  Scheduler sched(base_scenario(), SchedulerOptions{});
+  sched.submit(small_job("dup"));
+  EXPECT_THROW(sched.submit(small_job("dup")), std::invalid_argument);
   JobSpec no_id = small_job("");
-  EXPECT_THROW(sup.submit(no_id), std::invalid_argument);
+  EXPECT_THROW(sched.submit(no_id), std::invalid_argument);
   JobSpec bad_solver = small_job("bad");
   bad_solver.solver = "quantum";
-  EXPECT_THROW(sup.submit(bad_solver), std::invalid_argument);
+  EXPECT_THROW(sched.submit(bad_solver), std::invalid_argument);
   JobSpec bad_steps = small_job("steps");
   bad_steps.nsteps = 0;
-  EXPECT_THROW(sup.submit(bad_steps), std::invalid_argument);
+  EXPECT_THROW(sched.submit(bad_steps), std::invalid_argument);
   JobSpec bad_fallback = small_job("fb");
   JobConfig fb;
   fb.solver = "quantum";
   bad_fallback.fallbacks.push_back(fb);
-  EXPECT_THROW(sup.submit(bad_fallback), std::invalid_argument);
-  EXPECT_EQ(sup.queue_depth(), 1u);
+  EXPECT_THROW(sched.submit(bad_fallback), std::invalid_argument);
+  // Every dimension must be positive; the error names the field.
+  for (int JobSpec::*field : {&JobSpec::nparts, &JobSpec::nx, &JobSpec::ny, &JobSpec::ndirs,
+                              &JobSpec::nbands}) {
+    for (int v : {0, -3}) {
+      JobSpec bad_dim = small_job("dims");
+      bad_dim.*field = v;
+      EXPECT_THROW(sched.submit(bad_dim), std::invalid_argument) << v;
+    }
+  }
+  JobSpec zero_nx = small_job("zero-nx");
+  zero_nx.nx = 0;
+  try {
+    sched.submit(zero_nx);
+    ADD_FAILURE() << "nx = 0 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("nx"), std::string::npos) << e.what();
+  }
+  // Fallback overrides may be 0 (inherit) but never negative.
+  for (int JobConfig::*field : {&JobConfig::nparts, &JobConfig::nx, &JobConfig::ny,
+                                &JobConfig::ndirs, &JobConfig::nbands}) {
+    JobSpec bad_rung = small_job("rung");
+    JobConfig rung;
+    rung.*field = -1;
+    bad_rung.fallbacks.push_back(rung);
+    EXPECT_THROW(sched.submit(bad_rung), std::invalid_argument);
+  }
+  JobSpec inherit = small_job("inherit");
+  inherit.fallbacks.push_back(JobConfig{});  // all zero: inherit everything
+  EXPECT_NO_THROW(detail::validate_spec(inherit));
+  EXPECT_EQ(sched.queue_depth(), 1u);
 }
 
 #ifdef FINCH_HAVE_FORK
-// Supervisor crash-restart: the child supervisor is SIGKILLed mid-job right
+// Supervisor crash-restart: the child scheduler is SIGKILLed mid-job right
 // after a run manifest commits (the PR-7 commit-hook harness, filtered to
-// manifest renames). The restarted parent supervisor adopts the orphaned job
+// manifest renames). The restarted parent scheduler adopts the orphaned job
 // directory — job.json present, terminal.json absent — and drives it to
 // Completed bit-exactly, resuming from the committed manifest.
 TEST(SupervisorCrash, RestartReadoptsJobWhoseManifestCommittedBeforeDeath) {
@@ -444,9 +499,9 @@ TEST(SupervisorCrash, RestartReadoptsJobWhoseManifestCommittedBeforeDeath) {
       if (path.find("manifest.json") == std::string::npos) return;
       if (++manifest_commits == 3) ::raise(SIGKILL);
     });
-    Supervisor victim(base_scenario(), opt);
+    Scheduler victim(base_scenario(), serial(opt));
     victim.submit(spec);
-    victim.drain();
+    drain(victim);
     ::_exit(42);  // unreachable when the kill landed
   }
   int status = 0;
@@ -460,11 +515,11 @@ TEST(SupervisorCrash, RestartReadoptsJobWhoseManifestCommittedBeforeDeath) {
   EXPECT_FALSE(file_exists(root + "/orphan/terminal.json"));
   EXPECT_EQ(rt::read_manifest(root + "/orphan/manifest.json").last_step, 4);
 
-  Supervisor restarted(base_scenario(), opt);
+  Scheduler restarted(base_scenario(), serial(opt));
   const auto adopted = restarted.adopt_orphans();
   ASSERT_EQ(adopted.size(), 1u);
   EXPECT_EQ(adopted[0], "orphan");
-  const JobOutcome o = only(restarted.drain());
+  const JobOutcome o = only(drain(restarted));
   EXPECT_EQ(o.state, TerminalState::Completed);
   EXPECT_TRUE(o.adopted);
   ASSERT_EQ(o.attempts.size(), 1u);
