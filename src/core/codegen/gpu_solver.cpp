@@ -4,12 +4,10 @@
 #include <chrono>
 #include <stdexcept>
 
-#include "bytecode.hpp"
-
-#include "core/symbolic/simplify.hpp"
 #include "core/dsl/problem.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/trace.hpp"
+#include "step_solver_base.hpp"
 
 namespace finch::codegen {
 
@@ -58,35 +56,19 @@ std::vector<ArrayUse> array_uses(dsl::Problem& p) {
   return uses;
 }
 
-class GpuSolver final : public dsl::Solver {
- public:
-  GpuSolver(dsl::Problem& p, rt::SimGpu* gpu) : p_(p), gpu_(gpu) {
-    if (p.scheme() != dsl::TimeScheme::ForwardEuler)
-      throw std::invalid_argument("GPU target currently lowers ForwardEuler only");
-    build_env();
-    const auto& recs = p.equations();
-    for (const auto& rec : recs) {
-      Compiled ce;
-      ce.rec = &rec;
-      ce.volume = compile(sym::simplify(sym::add(rec.classified.rhs_volume)), env_);
-      ce.has_surface = !rec.classified.rhs_surface.empty();
-      if (ce.has_surface) ce.surface = compile(sym::simplify(sym::add(rec.classified.rhs_surface)), env_);
-      ce.field = &p.fields().get(rec.variable);
-      const sym::EntityInfo& info = *p.entities().find(rec.variable);
-      int32_t stride = 1;
-      ce.addr.n_idx = 0;
-      for (const auto& idx : info.indices) {
-        ce.addr.loop_slot[static_cast<size_t>(ce.addr.n_idx)] = env_.loop_slot_of(idx);
-        ce.addr.stride[static_cast<size_t>(ce.addr.n_idx)] = stride;
-        stride *= p.entities().find_index(idx)->extent();
-        ++ce.addr.n_idx;
-      }
-      ce.dofs_per_cell = ce.field->dof_per_cell();
-      if (!info.indices.empty()) ce.dir_slot = env_.loop_slot_of(info.indices[0]);
-      if (info.indices.size() > 1) ce.band_slot = env_.loop_slot_of(info.indices[1]);
-      eqs_.push_back(std::move(ce));
-    }
+dsl::Problem& require_forward_euler(dsl::Problem& p) {
+  if (p.scheme() != dsl::TimeScheme::ForwardEuler)
+    throw std::invalid_argument("GPU target currently lowers ForwardEuler only");
+  return p;
+}
 
+// The hybrid step runs StepSolverBase's VM sweep twice per equation: over the
+// interior cells inside the device launch, then over the boundary cells
+// (where the BC callbacks live) on the host.
+class GpuSolver final : public StepSolverBase {
+ public:
+  GpuSolver(dsl::Problem& p, rt::SimGpu* gpu)
+      : StepSolverBase(require_forward_euler(p), nullptr), gpu_(gpu) {
     // Interior / boundary split (boundary cells need CPU callbacks).
     const mesh::Mesh& mesh = p.mesh();
     std::vector<char> is_bdry(static_cast<size_t>(mesh.num_cells()), 0);
@@ -104,10 +86,6 @@ class GpuSolver final : public dsl::Solver {
       device_[t.array] = gpu_->allocate(f.size());
       gpu_->memcpy_h2d(device_[t.array], f.data());
     }
-    upload_comm_ = gpu_->counters().copy_seconds;  // setup cost, not per-step
-    for (auto& ce : eqs_)
-      scratch_.emplace_back(ce.field->name() + "_new", ce.field->num_cells(), ce.field->dof_per_cell(),
-                            ce.field->layout());
     kernel_stream_ = gpu_->create_stream();
   }
 
@@ -116,22 +94,19 @@ class GpuSolver final : public dsl::Solver {
     const double dev_before = gpu_->stream_clock(kernel_stream_);
     const double copy_before = gpu_->counters().copy_seconds;
 
-    // 1. Interior kernel, launched asynchronously on its own stream.
-    auto t0 = Clock::now();
-    for (size_t e = 0; e < eqs_.size(); ++e) launch_interior(eqs_[e], scratch_[e]);
+    // 1. Interior kernels, launched asynchronously on their own stream.
+    for (size_t e = 0; e < eqs_.size(); ++e) launch_interior(e);
     const double kernel_seconds = gpu_->stream_clock(kernel_stream_) - dev_before;
 
-    // 2. Boundary contributions on the CPU, overlapping the kernel (Fig. 6).
-    for (size_t e = 0; e < eqs_.size(); ++e) cpu_boundary(eqs_[e], scratch_[e]);
+    // 2. Boundary cells on the CPU, overlapping the kernels (Fig. 6).
+    auto t0 = Clock::now();
+    for (size_t e = 0; e < eqs_.size(); ++e) vm_sweep(e, scratch_[e], p_.dt(), boundary_cells_);
     const double cpu_boundary_seconds = seconds_since(t0);
+    publish_guard_tallies();
 
     // 3. Synchronize and bring results back per the movement plan; commit.
     for (auto& t : plan_.per_step_d2h) charge_d2h(t);
-    for (size_t e = 0; e < eqs_.size(); ++e) {
-      std::span<const double> src = scratch_[e].data();
-      std::span<double> dst = eqs_[e].field->data();
-      std::copy(src.begin(), src.end(), dst.begin());
-    }
+    commit();
     phases_.intensity += std::max(kernel_seconds, cpu_boundary_seconds);
 
     // 4. CPU post-processing (temperature update).
@@ -147,45 +122,15 @@ class GpuSolver final : public dsl::Solver {
   }
 
  private:
-  struct Compiled {
-    const dsl::Problem::EquationRecord* rec = nullptr;
-    Program volume, surface;
-    bool has_surface = false;
-    fvm::CellField* field = nullptr;
-    Binding addr;
-    int32_t dofs_per_cell = 1;
-    int dir_slot = -1, band_slot = -1;
-  };
-
-  void build_env() {
-    env_.table = &p_.entities();
-    for (const auto& [name, info] : p_.entities().indices()) {
-      env_.index_order.push_back(name);
-      env_.index_extent.push_back(info.extent());
-    }
-    env_.fields = &p_.fields();
-    env_.coefficients = &p_.indexed_coefficients();
-    env_.scalar_coefficients = &p_.scalar_coefficients();
-  }
-
-  void set_loop_values(const Compiled& ce, int32_t dof, EvalContext& ctx) {
-    // Invert dof -> index values for the variable's index list.
-    int32_t rem = dof;
-    for (int k = ce.addr.n_idx; k-- > 0;) {
-      const int32_t digit = rem / ce.addr.stride[static_cast<size_t>(k)];
-      ctx.loop_values[static_cast<size_t>(ce.addr.loop_slot[static_cast<size_t>(k)])] = digit;
-      rem -= digit * ce.addr.stride[static_cast<size_t>(k)];
-    }
-  }
-
-  void launch_interior(Compiled& ce, fvm::CellField& out) {
+  void launch_interior(size_t e) {
+    const CompiledEquation& ce = eqs_[e];
     const mesh::Mesh& mesh = p_.mesh();
     const Program::Stats vs = ce.volume.analyze();
     const Program::Stats ss = ce.has_surface ? ce.surface.analyze() : Program::Stats{};
     const int faces = mesh.dimension() == 2 ? 4 : 6;
 
     rt::KernelStats ks;
-    ks.threads = static_cast<int64_t>(interior_cells_.size()) * ce.dofs_per_cell;
+    ks.threads = static_cast<int64_t>(interior_cells_.size()) * ce.field->dof_per_cell();
     ks.flops_per_thread = vs.flops + faces * (ss.flops + 2);  // + area/vol scale & accumulate
     const int total_flops = vs.flops + faces * ss.flops;
     ks.fma_fraction = total_flops > 0
@@ -198,94 +143,9 @@ class GpuSolver final : public dsl::Solver {
     ks.divergence = 0.02 * ss.branches;  // upwind selects cause mild divergence
 
     rt::TraceSpan span("gpu.launch_interior");
-    const auto t0 = Clock::now();
     gpu_->launch(
-        "interior_" + ce.rec->variable, ks,
-        [&] {
-          for (int32_t cell : interior_cells_) {
-            EvalContext ctx;
-            ctx.dt = p_.dt();
-            ctx.cell = cell;
-            for (int32_t dof = 0; dof < ce.dofs_per_cell; ++dof) {
-              set_loop_values(ce, dof, ctx);
-              double value = eval(ce.volume, ctx);
-              if (ce.has_surface) value += surface_interior(ce, ctx, cell);
-              out.at(cell, dof) = value;
-            }
-          }
-        },
-        kernel_stream_);
-    const int64_t evals = static_cast<int64_t>(interior_cells_.size()) * ce.dofs_per_cell;
-    note_eval_batch(ce.volume, ce.has_surface ? &ce.surface : nullptr, evals,
-                    ce.has_surface ? evals * faces : 0, seconds_since(t0));
-  }
-
-  double surface_interior(Compiled& ce, EvalContext& ctx, int32_t cell) {
-    const mesh::Mesh& mesh = p_.mesh();
-    const double inv_vol = 1.0 / mesh.cell_volume(cell);
-    double acc = 0.0;
-    for (int32_t f : mesh.cell_faces(cell)) {
-      const mesh::Face& face = mesh.face(f);
-      const mesh::Vec3 n = mesh.outward_normal(f, cell);
-      ctx.normal = {n.x, n.y, n.z};
-      ctx.neighbor = mesh.across(f, cell);
-      acc += face.area * inv_vol * eval(ce.surface, ctx);
-      ctx.neighbor = -1;
-    }
-    return acc;
-  }
-
-  void cpu_boundary(Compiled& ce, fvm::CellField& out) {
-    const mesh::Mesh& mesh = p_.mesh();
-    for (int32_t cell : boundary_cells_) {
-      EvalContext ctx;
-      ctx.dt = p_.dt();
-      ctx.cell = cell;
-      const double inv_vol = 1.0 / mesh.cell_volume(cell);
-      for (int32_t dof = 0; dof < ce.dofs_per_cell; ++dof) {
-        set_loop_values(ce, dof, ctx);
-        double value = eval(ce.volume, ctx);
-        if (ce.has_surface) {
-          // Sum face terms into a local accumulator so the result is
-          // bit-identical to the CPU target's association order.
-          double acc = 0.0;
-          for (int32_t f : mesh.cell_faces(cell)) {
-            const mesh::Face& face = mesh.face(f);
-            const mesh::Vec3 n = mesh.outward_normal(f, cell);
-            ctx.normal = {n.x, n.y, n.z};
-            const double scale = face.area * inv_vol;
-            if (!face.is_boundary()) {
-              ctx.neighbor = mesh.across(f, cell);
-              acc += scale * eval(ce.surface, ctx);
-              ctx.neighbor = -1;
-              continue;
-            }
-            const fvm::BoundaryCondition* bc = p_.boundaries().find(ce.field->name(), face.boundary_region);
-            if (bc == nullptr) continue;  // zero-flux default
-            fvm::BoundaryContext bctx;
-            bctx.mesh = &mesh;
-            bctx.fields = &p_.fields();
-            bctx.cell = cell;
-            bctx.face = f;
-            bctx.normal = n;
-            bctx.dof = dof;
-            bctx.dir = ce.dir_slot >= 0 ? ctx.loop_values[static_cast<size_t>(ce.dir_slot)] : 0;
-            bctx.band = ce.band_slot >= 0 ? ctx.loop_values[static_cast<size_t>(ce.band_slot)] : 0;
-            bctx.time = time_;
-            if (bc->type == fvm::BcType::Flux) {
-              acc += scale * (-p_.dt()) * bc->fn(bctx);
-            } else {
-              ctx.ghost_field = ce.field;
-              ctx.ghost_value = bc->fn(bctx);
-              acc += scale * eval(ce.surface, ctx);
-              ctx.ghost_field = nullptr;
-            }
-          }
-          value += acc;
-        }
-        out.at(cell, dof) = value;
-      }
-    }
+        "interior_" + ce.program->variable, ks,
+        [&] { vm_sweep(e, scratch_[e], p_.dt(), interior_cells_); }, kernel_stream_);
   }
 
   // Per-step transfers seal an ABFT sidecar from the source payload and
@@ -300,7 +160,6 @@ class GpuSolver final : public dsl::Solver {
     gpu_->memcpy_d2h(host_scratch_, it->second, kernel_stream_);
     rt::MetricsRegistry::global().counter("movement.d2h.transfers").add(1.0);
     if (!t.verify(host_scratch_)) {
-      transfer_audit_failures_ += 1;
       rt::MetricsRegistry::global().counter("movement.audit_failures").add(1.0);
       gpu_->memcpy_d2h(host_scratch_, it->second, kernel_stream_);
     }
@@ -315,24 +174,17 @@ class GpuSolver final : public dsl::Solver {
     gpu_->memcpy_h2d(it->second, src, kernel_stream_);
     rt::MetricsRegistry::global().counter("movement.h2d.transfers").add(1.0);
     if (!t.verify({it->second.device_data(), src.size()})) {
-      transfer_audit_failures_ += 1;
       rt::MetricsRegistry::global().counter("movement.audit_failures").add(1.0);
       gpu_->memcpy_h2d(it->second, src, kernel_stream_);
     }
   }
 
-  dsl::Problem& p_;
   rt::SimGpu* gpu_;
-  CompileEnv env_;
-  std::vector<Compiled> eqs_;
-  std::vector<fvm::CellField> scratch_;
   std::vector<int32_t> interior_cells_, boundary_cells_;
   MovementPlan plan_;
   std::map<std::string, rt::DeviceBuffer> device_;
   std::vector<double> host_scratch_;
   int kernel_stream_ = 0;
-  double upload_comm_ = 0.0;
-  int64_t transfer_audit_failures_ = 0;
 };
 
 }  // namespace

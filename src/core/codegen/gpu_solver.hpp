@@ -1,10 +1,12 @@
 #pragma once
-// GPU code-generation target (hybrid CPU+GPU configuration of Fig. 6):
-// the interior-bulk update runs as a flattened one-thread-per-DOF kernel on
-// the (simulated) device while boundary contributions — user callbacks — run
-// asynchronously on the CPU; results are combined, the CPU post-step
-// (temperature update) executes, and the movement plan's per-step transfers
-// are charged to the communication phase.
+// GPU code-generation target (hybrid CPU+GPU configuration of Fig. 6): a
+// StepSolverBase whose step runs the same VM sweep as the CPU target twice —
+// over the interior cells inside a (simulated) device launch costed as a
+// flattened one-thread-per-DOF kernel, then over the boundary cells, where
+// the user BC callbacks live, on the host. Results are combined, the CPU
+// post-step (temperature update) executes, and the movement plan's per-step
+// transfers are charged to the communication phase. ForwardEuler only; the
+// non-finite guard audits both sweeps.
 
 #include <memory>
 

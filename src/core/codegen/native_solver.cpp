@@ -80,7 +80,7 @@ class NativeSolver final : public StepSolverBase {
     // The non-finite guard audits per VM instruction — native kernels cannot
     // observe at that granularity, so guarded solves stay on the VM.
     if (en.plan.fn == nullptr || guard_enabled_) {
-      vm_sweep(e, out, dt_stage);
+      vm_sweep(e, out, dt_stage, all_cells_);
       return;
     }
     refresh_bc(e, dt_stage);
@@ -92,7 +92,7 @@ class NativeSolver final : public StepSolverBase {
       fvm::CellField ref("jit_verify", out.num_cells(), out.dof_per_cell(), out.layout());
       std::copy(out.data().begin(), out.data().end(), ref.data().begin());
       run_kernel(e, out, dt_stage);
-      vm_sweep(e, ref, dt_stage);
+      vm_sweep(e, ref, dt_stage, all_cells_);
       if (std::memcmp(out.data().data(), ref.data().data(),
                       out.data().size() * sizeof(double)) != 0) {
         auto& reg = rt::MetricsRegistry::global();

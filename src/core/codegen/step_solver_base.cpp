@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <stdexcept>
 
 #include "core/symbolic/simplify.hpp"
@@ -47,6 +48,8 @@ StepSolverBase::StepSolverBase(dsl::Problem& p, rt::ThreadPool* pool) : p_(p), p
   for (auto& ce : eqs_)
     scratch_.emplace_back(ce.field->name() + "_new", ce.field->num_cells(), ce.field->dof_per_cell(),
                           ce.field->layout());
+  all_cells_.resize(static_cast<size_t>(p.mesh().num_cells()));
+  std::iota(all_cells_.begin(), all_cells_.end(), 0);
 }
 
 void StepSolverBase::step() {
@@ -61,10 +64,7 @@ void StepSolverBase::step() {
     else
       rk2_step();
   }
-  if (guard_enabled_) {
-    guard_report_.evals = guard_evals_.load(std::memory_order_relaxed);
-    guard_report_.nonfinite_results = guard_nonfinite_.load(std::memory_order_relaxed);
-  }
+  publish_guard_tallies();
   phases_.intensity += seconds_since(t0);
   t0 = Clock::now();
   {
@@ -77,8 +77,14 @@ void StepSolverBase::step() {
   time_ += p_.dt();
 }
 
+void StepSolverBase::publish_guard_tallies() {
+  if (!guard_enabled_) return;
+  guard_report_.evals = guard_evals_.load(std::memory_order_relaxed);
+  guard_report_.nonfinite_results = guard_nonfinite_.load(std::memory_order_relaxed);
+}
+
 void StepSolverBase::sweep_equation(size_t e, fvm::CellField& out, double dt_stage) {
-  vm_sweep(e, out, dt_stage);
+  vm_sweep(e, out, dt_stage, all_cells_);
 }
 
 void StepSolverBase::euler_step() {
@@ -134,18 +140,21 @@ void StepSolverBase::build_env() {
   env_.scalar_coefficients = &p_.scalar_coefficients();
 }
 
-void StepSolverBase::vm_sweep(size_t eq, fvm::CellField& out, double dt_stage) {
+void StepSolverBase::vm_sweep(size_t eq, fvm::CellField& out, double dt_stage,
+                              std::span<const int32_t> cells) {
   CompiledEquation& ce = eqs_[eq];
   rt::TraceSpan span("cpu.sweep");
   const auto sweep_t0 = Clock::now();
   const mesh::Mesh& mesh = p_.mesh();
   // Mixed-radix iteration following the assembly-loop ordering: the
-  // outermost loop is the most significant digit.
+  // outermost loop is the most significant digit; the cell digit indexes
+  // `cells`.
   const auto& loops = ce.program->loops;
   std::vector<int64_t> extent(loops.size());
   int64_t total = 1;
   for (size_t k = 0; k < loops.size(); ++k) {
-    extent[k] = loops[k].kind == ir::LoopSpec::Kind::Cells ? mesh.num_cells() : loops[k].extent;
+    extent[k] = loops[k].kind == ir::LoopSpec::Kind::Cells ? static_cast<int64_t>(cells.size())
+                                                           : loops[k].extent;
     total *= extent[k];
   }
   std::vector<int64_t> place(loops.size(), 1);
@@ -158,7 +167,7 @@ void StepSolverBase::vm_sweep(size_t eq, fvm::CellField& out, double dt_stage) {
     for (size_t k = 0; k < loops.size(); ++k) {
       const int32_t digit = static_cast<int32_t>((it / place[k]) % extent[k]);
       if (loops[k].kind == ir::LoopSpec::Kind::Cells)
-        cell = digit;
+        cell = cells[static_cast<size_t>(digit)];
       else
         ctx.loop_values[static_cast<size_t>(env_.loop_slot_of(loops[k].index_name))] = digit;
     }

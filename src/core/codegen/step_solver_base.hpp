@@ -1,15 +1,18 @@
 #pragma once
 // Shared scaffolding for in-process step solvers executing compiled
 // StepPrograms: equation compilation, scratch/commit double-buffering, the
-// ForwardEuler and RK2-midpoint schemes, the bytecode-VM sweep (with the
-// non-finite guard) and the boundary-condition handling. The CPU targets use
-// this class directly; the native JIT backend subclasses it and overrides
-// sweep_equation() with kernel execution, keeping every scheme/BC/guard
-// behavior — and the VM as a drop-in oracle — in one place.
+// ForwardEuler and RK2-midpoint schemes, the bytecode-VM sweep over a cell
+// list (with the non-finite guard) and the boundary-condition handling. The
+// CPU targets use this class directly; the native JIT backend overrides
+// sweep_equation() with kernel execution, and the hybrid GPU target
+// overrides step() to sweep the interior cells inside a device launch and
+// the boundary cells on the host. Every scheme/BC/guard behavior — and the
+// VM as a drop-in oracle — lives in one place.
 
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "bytecode.hpp"
@@ -43,8 +46,11 @@ class StepSolverBase : public dsl::Solver {
   // to vm_sweep() whenever a kernel is unavailable.
   virtual void sweep_equation(size_t e, fvm::CellField& out, double dt_stage);
 
-  // The interpreter sweep — the portable path and the differential oracle.
-  void vm_sweep(size_t e, fvm::CellField& out, double dt_stage);
+  // The interpreter sweep over the DOFs of `cells` — the portable path and
+  // the differential oracle. Writes only those cells' rows of `out`.
+  void vm_sweep(size_t e, fvm::CellField& out, double dt_stage, std::span<const int32_t> cells);
+  // Copies the guard's atomic tallies into the published report.
+  void publish_guard_tallies();
 
   void euler_step();
   void rk2_step();
@@ -59,6 +65,7 @@ class StepSolverBase : public dsl::Solver {
   std::vector<CompiledEquation> eqs_;
   std::vector<fvm::CellField> scratch_;
   std::vector<double> backup_;
+  std::vector<int32_t> all_cells_;  // 0..num_cells-1, the whole-mesh sweep
   // Guard tallies: atomics so pooled sweeps can report without contention;
   // the mutex only serializes recording the (rare) first offender.
   std::atomic<int64_t> guard_evals_{0};

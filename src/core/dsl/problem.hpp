@@ -46,8 +46,8 @@ enum class Target { CpuSerial, CpuThreads, Gpu };
 //             fallback when a kernel cannot be produced.
 //  * Auto   — Native when codegen::native_backend_available(), else Vm.
 // The process default comes from FINCH_BACKEND (vm | native | auto),
-// falling back to Vm. The GPU target models its own execution and ignores
-// the backend.
+// falling back to Vm. The GPU target always runs the VM sweep (its device
+// time comes from the SimGpu cost model) and ignores the backend.
 enum class Backend { Auto, Vm, Native };
 Backend backend_from_string(const std::string& s);  // throws on unknown names
 const char* backend_to_string(Backend b);
@@ -86,9 +86,11 @@ class Solver {
   double time() const { return time_; }
   const SolvePhases& phases() const { return phases_; }
 
-  // Arms per-evaluation NaN/Inf auditing in targets that execute bytecode
-  // (the CPU targets). Off by default — the unguarded interpreter runs and
-  // numerics are untouched either way; the guard only observes.
+  // Arms per-evaluation NaN/Inf auditing of the bytecode VM sweep, which every
+  // DSL target runs (the native backend drops to the VM while armed; the GPU
+  // target audits its device and host sweeps alike). Off by default — the
+  // unguarded interpreter runs and numerics are untouched either way; the
+  // guard only observes.
   void enable_nonfinite_guard(bool on = true) { guard_enabled_ = on; }
   bool nonfinite_guard_enabled() const { return guard_enabled_; }
   const NonFiniteReport& nonfinite_report() const { return guard_report_; }

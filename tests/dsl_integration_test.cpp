@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "core/dsl/problem.hpp"
@@ -195,7 +196,7 @@ TEST(DslPipeline, ThreadedTargetMatchesSerialBitwise) {
 }
 
 TEST(DslPipeline, GpuTargetMatchesSerialBitwise) {
-  auto build = [](rt::SimGpu* gpu) {
+  auto build = [](rt::SimGpu* gpu, std::vector<std::string> order) {
     auto p = std::make_unique<Problem>("gpu");
     p->set_mesh(mesh::Mesh::structured_quad(5, 5, 1.0, 1.0));
     p->set_steps(0.002, 1);
@@ -206,22 +207,100 @@ TEST(DslPipeline, GpuTargetMatchesSerialBitwise) {
     p->conservation_form("I", "-surface(upwind([Sx[d];Sy[d]], I[d]))");
     p->initial("I", [](int32_t c, std::span<const int32_t> idx) { return 1.0 + 0.3 * c - 0.1 * idx[0]; });
     p->boundary("I", 1, dsl::BcType::Value, "zero", [](const fvm::BoundaryContext&) { return 0.0; });
+    if (!order.empty()) p->assembly_loops(std::move(order));
+    if (gpu != nullptr) p->use_cuda(gpu);
+    return p;
+  };
+  auto ps = build(nullptr, {});
+  ps->compile()->run(8);
+  auto a = ps->fields().get("I").data();
+
+  // The device sweep follows the assembly-loop order, so a permuted nest
+  // must land on the same bits too.
+  for (std::vector<std::string> order : {std::vector<std::string>{}, {"d", "cells"}}) {
+    rt::SimGpu gpu(rt::GpuSpec::a6000());
+    auto pg = build(&gpu, order);
+    pg->compile()->run(8);
+    auto b = pg->fields().get("I").data();
+    for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << i;
+    // The device did real work and real transfers.
+    EXPECT_GT(gpu.counters().kernel_launches, 0);
+    EXPECT_GT(gpu.counters().bytes_d2h, 0);
+  }
+}
+
+TEST(DslPipeline, GpuTargetMatchesSerialBitwiseForCoupledEquations) {
+  // Two equations coupled both ways: I's kernel reads u, and u's flux
+  // boundary callback reads I. Every sweep must see the old state of both,
+  // whichever order the hybrid step runs its interior and boundary sweeps in.
+  auto build = [](rt::SimGpu* gpu) {
+    auto p = std::make_unique<Problem>("gpu2");
+    p->set_mesh(mesh::Mesh::structured_quad(6, 5, 1.0, 1.0));
+    p->set_steps(0.002, 1);
+    p->index("d", 1, 2);
+    p->variable("u");
+    p->variable("I", {"d"});
+    p->coefficient("k", 3.0);
+    p->coefficient("bx", 0.75);
+    p->coefficient("by", -0.5);
+    p->coefficient("Sx", {1.0, -0.5}, {"d"});
+    p->coefficient("Sy", {0.5, 1.0}, {"d"});
+    p->conservation_form("u", "-k*u - surface(upwind([bx;by], u))");
+    p->conservation_form("I", "(u - I[d])*k - surface(upwind([Sx[d];Sy[d]], I[d]))");
+    p->initial("u", [](int32_t c, std::span<const int32_t>) { return 2.0 - 0.05 * c; });
+    p->initial("I", [](int32_t c, std::span<const int32_t> idx) { return 1.0 + 0.1 * c - 0.2 * idx[0]; });
+    p->boundary("u", 2, dsl::BcType::Flux, "from_I", [](const fvm::BoundaryContext& ctx) {
+      return ctx.fields->get("I").at(ctx.cell, 0) * (1.0 + ctx.time);
+    });
+    p->boundary("I", 1, dsl::BcType::Value, "inflow", [](const fvm::BoundaryContext& ctx) {
+      return 0.5 + 0.25 * ctx.dir;
+    });
     if (gpu != nullptr) p->use_cuda(gpu);
     return p;
   };
   auto ps = build(nullptr);
-  ps->compile()->run(8);
+  ps->compile()->run(6);
+  rt::SimGpu gpu(rt::GpuSpec::a6000());
+  auto pg = build(&gpu);
+  pg->compile()->run(6);
+  EXPECT_EQ(gpu.counters().kernel_launches, 12);  // one interior launch per equation per step
+  for (const char* var : {"u", "I"}) {
+    auto a = ps->fields().get(var).data();
+    auto b = pg->fields().get(var).data();
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << var << " " << i;
+  }
+}
+
+TEST(DslPipeline, GpuTargetAuditsNonFiniteResults) {
+  // The hybrid target runs the same guarded VM sweep as the CPU target, on
+  // the device's interior cells and the host's boundary cells alike.
+  auto build = [](rt::SimGpu* gpu) {
+    auto p = std::make_unique<Problem>("gpunan");
+    p->set_mesh(mesh::Mesh::structured_quad(3, 3, 1.0, 1.0));
+    p->set_steps(0.01, 1);
+    p->variable("u");
+    p->coefficient("k", std::numeric_limits<double>::quiet_NaN());
+    p->conservation_form("u", "-k*u");
+    p->initial("u", [](int32_t, std::span<const int32_t>) { return 1.0; });
+    if (gpu != nullptr) p->use_cuda(gpu);
+    return p;
+  };
+  auto pc = build(nullptr);
+  auto sc = pc->compile(Target::CpuSerial);
+  sc->enable_nonfinite_guard();
+  sc->step();
 
   rt::SimGpu gpu(rt::GpuSpec::a6000());
   auto pg = build(&gpu);
-  pg->compile()->run(8);
-
-  auto a = ps->fields().get("I").data();
-  auto b = pg->fields().get("I").data();
-  for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << i;
-  // The device did real work and real transfers.
-  EXPECT_GT(gpu.counters().kernel_launches, 0);
-  EXPECT_GT(gpu.counters().bytes_d2h, 0);
+  auto sg = pg->compile();
+  sg->enable_nonfinite_guard();
+  sg->step();
+  const dsl::NonFiniteReport& r = sg->nonfinite_report();
+  EXPECT_GT(r.nonfinite_results, 0);
+  EXPECT_GE(r.first_cell, 0);
+  EXPECT_EQ(r.evals, sc->nonfinite_report().evals);
+  EXPECT_EQ(r.nonfinite_results, sc->nonfinite_report().nonfinite_results);
 }
 
 TEST(DslPipeline, PostStepCallbackRunsEachStep) {
@@ -269,6 +348,22 @@ TEST(DslErrors, MissingMeshAndUnknownEntities) {
   q.variable("u");
   EXPECT_THROW(q.coefficient("c", {1.0, 2.0}, {"undeclared"}), std::invalid_argument);
   EXPECT_THROW(q.compile(Target::CpuSerial), std::logic_error);  // no equation
+
+  // assemblyLoops naming a loop twice: the count check alone would accept
+  // both lists and leave band b unswept.
+  for (std::vector<std::string> order : {std::vector<std::string>{"cells", "d", "d"},
+                                         std::vector<std::string>{"cells", "cells", "d"}}) {
+    Problem r("bad3");
+    r.set_mesh(mesh::Mesh::structured_quad(3, 3, 1.0, 1.0));
+    r.index("d", 1, 2);
+    r.index("b", 1, 3);
+    r.variable("I", {"d", "b"});
+    r.coefficient("k", 1.0);
+    r.conservation_form("I", "-k*I[d,b]");
+    r.initial("I", [](int32_t, std::span<const int32_t>) { return 1.0; });
+    r.assembly_loops(order);
+    EXPECT_THROW(r.compile(Target::CpuSerial), std::invalid_argument) << order[1];
+  }
 }
 
 TEST(DslErrors, GpuTargetRequiresDevice) {

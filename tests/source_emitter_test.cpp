@@ -140,3 +140,92 @@ TEST(IrPseudocode, VolumeOnlyEquationHasNoFluxLoop) {
   EXPECT_EQ(ir.find("flux"), std::string::npos);
   EXPECT_NE(ir.find("u_new = source"), std::string::npos);
 }
+
+// Exact-text pins: both printers render integrands through the one c_expr,
+// so any drift in either rendering shows up here byte for byte.
+TEST(SourceEmitters, CppTextIsPinned) {
+  auto p = bte_like_problem();
+  EXPECT_EQ(p.generated_cpp_source(), R"(// generated by finch-bte: CPU target, assembly order: cells d b
+// update of I via explicit FV step
+void step_I(State& s, double dt) {
+  for (int cell = 0; cell < Ncells; ++cell) {
+    for (int d = 0; d < 4; ++d) {
+      for (int b = 0; b < 3; ++b) {
+        // RHS volume integrand (includes old-time value and dt)
+        double value = (I[cell*dof_per_cell + d + Nd*b] + (dt * Io[cell*dof_per_cell + b] * beta[cell*dof_per_cell + b]) + (-1 * dt * I[cell*dof_per_cell + d + Nd*b] * beta[cell*dof_per_cell + b]));
+        // RHS surface integrand, applied per face as (A_f/V) * term
+        for (int face = 0; face < faces_of(cell); ++face) {
+          const double normal_x = face_normal_x(cell, face);
+          const double normal_y = face_normal_y(cell, face);
+          const int neighbor = across(cell, face);
+          value += face_area(cell, face) / cell_volume(cell) * ((-1 * dt * vg[b] * ((((Sx[d] * normal_x) + (Sy[d] * normal_y)) > 0) ? (((Sx[d] * normal_x) + (Sy[d] * normal_y)) * I[cell*dof_per_cell + d + Nd*b]) : (((Sx[d] * normal_x) + (Sy[d] * normal_y)) * I[neighbor*dof_per_cell + d + Nd*b]))));
+        }
+        // combine: u_new = rhs_volume + (1/V) * sum_f A_f * rhs_surface
+        I_new[cell*dof_per_cell + dof] = value;
+      }
+    }
+  }
+}
+
+)");
+}
+
+TEST(SourceEmitters, CudaTextIsPinned) {
+  auto p = bte_like_problem();
+  EXPECT_EQ(p.generated_cuda_source(), R"(// generated by finch-bte: CUDA target (flattened one-thread-per-DOF)
+// step_I: interior bulk on device, boundary + post-step on host
+
+__global__ void step_I_interior(DeviceState s, double dt) {
+  // flatten all loops: one thread per (cell, d, b) degree of freedom
+  const long tid = blockIdx.x * blockDim.x + threadIdx.x;
+  if (tid >= s.n_interior_dofs) return;
+  const int cell = s.interior_cells[tid / s.dof_per_cell];
+  const int dof = tid % s.dof_per_cell;
+  const int d = dof % Nd;
+  const int b = (dof / Nd) % Nb;
+  double value = (s.I(cell, d, b) + (dt * s.Io(cell, b) * s.beta(cell, b)) + (-1 * dt * s.I(cell, d, b) * s.beta(cell, b)));
+  // interior bulk: uniform work per thread, no divergence across the warp
+  for (int face = 0; face < s.faces_per_cell; ++face) {
+    const double normal_x = s.face_normal_x[cell * s.faces_per_cell + face];
+    const double normal_y = s.face_normal_y[cell * s.faces_per_cell + face];
+    const int neighbor = s.across[cell * s.faces_per_cell + face];
+    value += s.face_area_over_volume[cell * s.faces_per_cell + face] * ((-1 * dt * s.vg(b) * ((((s.Sx(d) * normal_x) + (s.Sy(d) * normal_y)) > 0) ? (((s.Sx(d) * normal_x) + (s.Sy(d) * normal_y)) * s.I(cell, d, b)) : (((s.Sx(d) * normal_x) + (s.Sy(d) * normal_y)) * s.I(neighbor, d, b)))));
+  }
+  I_new[tid] = value;
+}
+
+void step_I_host_step(HostState& h, DeviceState& d, double dt) {
+  // launch GPU kernel asynchronously
+  step_I_interior<<<grid, block, 0, stream>>>(d, dt);
+  // compute boundary contribution on the CPU (user callbacks)
+  compute_boundary_region(h, /*region=*/1, callback_isothermal_cold);
+  compute_boundary_region(h, /*region=*/3, callback_symmetry);
+  // synchronize and get I_new from GPU
+  cudaMemcpyAsync(h.I, d.I_new, bytes, cudaMemcpyDeviceToHost, stream);
+  cudaStreamSynchronize(stream);
+  combine_interior_and_boundary(h);
+  // external post-processing (CPU callbacks, e.g. temperature update)
+  run_post_step_callbacks(h);
+  // send CPU-updated variables to the GPU (movement plan)
+  upload_step_variables(h, d);
+}
+
+)");
+}
+
+TEST(SourceEmitters, PowSpellingDiffersPerTarget) {
+  dsl::Problem p("powgen");
+  p.set_mesh(mesh::Mesh::structured_quad(2, 2, 1.0, 1.0));
+  p.variable("u");
+  p.coefficient("k", 1.0);
+  p.conservation_form("u", "-k*u^3/(1+u)^2");
+  p.initial("u", [](int32_t, std::span<const int32_t>) { return 1.0; });
+  EXPECT_NE(p.generated_cpp_source().find(
+                "double value = (u[cell] + (-1 * dt * k[0] * std::pow(u[cell], 3) / "
+                "std::pow((u[cell] + 1), 2)));"),
+            std::string::npos);
+  EXPECT_NE(p.generated_cuda_source().find(
+                "double value = (s.u(cell) + (-1 * dt * s.k() * pow(s.u(cell), 3) / "
+                "pow((s.u(cell) + 1), 2)));"),
+            std::string::npos);
+}
