@@ -134,7 +134,13 @@ void DistributedSolver::register_memory_reliefs() {
   if (res_.memory == nullptr) return;
   res_.memory->add_relief("ckpt-prev-generation",
                           [this] { return store_.drop_previous_generation(); });
-  res_.memory->add_relief("scratch-shrink", [this] { return shrink_scratch(); });
+  res_.memory->add_relief("scratch-shrink", [this] {
+    int64_t freed = shrink_scratch();
+    for (auto& field : snap_.fields)
+      freed += static_cast<int64_t>(field.second.capacity() * sizeof(double));
+    snap_.fields.clear();
+    return freed;
+  });
   res_.memory->add_relief("ckpt-spill", [this] { return store_.spill(); });
 }
 
@@ -149,19 +155,36 @@ uint64_t DistributedSolver::config_hash() const {
   return h.value();
 }
 
+std::vector<double> DistributedSolver::gather_intensity() const {
+  std::vector<double> I(static_cast<size_t>(scen_.nx) * static_cast<size_t>(scen_.ny) *
+                        static_cast<size_t>(nd_) * static_cast<size_t>(nb_));
+  gather_intensity_into(I);
+  return I;
+}
+
 rt::Snapshot DistributedSolver::snapshot() const {
+  rt::Snapshot snap;
+  snapshot_into(snap);
+  return snap;
+}
+
+void DistributedSolver::snapshot_into(rt::Snapshot& snap) const {
   // Canonical global layout (see checkpoint.hpp): no rank structure at all,
   // so the image restores onto any survivor count.
   const size_t ncell = static_cast<size_t>(scen_.nx) * static_cast<size_t>(scen_.ny);
-  rt::Snapshot snap;
   snap.step = step_index_;
-  std::vector<double> Io(ncell * static_cast<size_t>(nb_)), beta(Io.size());
+  if (snap.fields.empty())
+    for (const char* name : {"I", "T", "Io", "beta"})
+      snap.fields.emplace_back(name, std::vector<double>());
+  std::vector<double>& I = snap.fields[0].second;
+  std::vector<double>& Io = snap.fields[2].second;
+  std::vector<double>& beta = snap.fields[3].second;
+  I.resize(ncell * static_cast<size_t>(nd_) * static_cast<size_t>(nb_));
+  Io.resize(ncell * static_cast<size_t>(nb_));
+  beta.resize(Io.size());
+  gather_intensity_into(I);
+  snap.fields[1].second = gather_temperature();
   gather_moments(Io, beta);
-  snap.add("I", gather_intensity());
-  snap.add("T", gather_temperature());
-  snap.add("Io", Io);
-  snap.add("beta", beta);
-  return snap;
 }
 
 void DistributedSolver::restore(const rt::Snapshot& snap) {
@@ -182,7 +205,8 @@ void DistributedSolver::restore(const rt::Snapshot& snap) {
 }
 
 void DistributedSolver::take_checkpoint(const std::string& cancel_reason) {
-  store_.save(snapshot());
+  snapshot_into(snap_);
+  store_.save(snap_);
   rstats_.checkpoints += 1;
   write_run_manifest(res_, rstats_, sites_.kind, nparts_, config_hash(), store_, cancel_reason);
 }
@@ -366,20 +390,18 @@ void BandSlices::update_temperature(const std::vector<double>& G, std::vector<do
   }
 }
 
-std::vector<double> BandSlices::gather_intensity() const {
-  const size_t dofs = static_cast<size_t>(nd_) * static_cast<size_t>(nb_);
-  std::vector<double> out(static_cast<size_t>(ncell_) * dofs);
+void BandSlices::gather_intensity(std::vector<double>& out) const {
+  // A slice's row of one cell, [(c*bl + lb)*nd + d] over lb and d, is the
+  // contiguous run of the canonical row starting at band b_lo.
+  const size_t nd = static_cast<size_t>(nd_);
+  const size_t dofs = nd * static_cast<size_t>(nb_);
   for (const Slice& s : slices_) {
-    const size_t bl = static_cast<size_t>(s.bands());
-    for (int b = s.b_lo; b < s.b_hi; ++b) {
-      const size_t lb = static_cast<size_t>(b - s.b_lo);
-      for (size_t c = 0; c < static_cast<size_t>(ncell_); ++c)
-        for (int d = 0; d < nd_; ++d)
-          out[c * dofs + static_cast<size_t>(d + nd_ * b)] =
-              s.I[(c * bl + lb) * static_cast<size_t>(nd_) + static_cast<size_t>(d)];
-    }
+    const size_t row = static_cast<size_t>(s.bands()) * nd;
+    const size_t first = static_cast<size_t>(s.b_lo) * nd;
+    for (size_t c = 0; c < static_cast<size_t>(ncell_); ++c)
+      std::copy_n(s.I.begin() + static_cast<std::ptrdiff_t>(c * row), row,
+                  out.begin() + static_cast<std::ptrdiff_t>(c * dofs + first));
   }
-  return out;
 }
 
 void BandSlices::gather_moments(std::vector<double>& Io, std::vector<double>& beta) const {

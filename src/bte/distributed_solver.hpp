@@ -66,7 +66,7 @@ class DistributedSolver {
   void restore(const rt::Snapshot& snap);
 
   // Canonical global fields: I as [cell * dofs + (d + nd*b)], T per cell.
-  virtual std::vector<double> gather_intensity() const = 0;
+  std::vector<double> gather_intensity() const;
   virtual std::vector<double> gather_temperature() const = 0;
   // Owner multiplicity of each partitioned unit (cell or band); the eviction
   // invariant tests assert every entry is exactly 1.
@@ -94,6 +94,8 @@ class DistributedSolver {
   // ---- strategy hooks ------------------------------------------------------
   // Scans the distributed fields into health_ (finite_ok, detail).
   virtual void validate() = 0;
+  // Canonical [cell * dofs + (d + nd*b)] I (pre-sized by the caller).
+  virtual void gather_intensity_into(std::vector<double>& I) const = 0;
   // Canonical [cell * nb + b] Io/beta (pre-sized by the caller).
   virtual void gather_moments(std::vector<double>& Io, std::vector<double>& beta) const = 0;
   // Loads canonical fields onto the current topology.
@@ -157,6 +159,9 @@ class DistributedSolver {
   void arm(const ResilienceOptions& options);
   void register_memory_reliefs();
   uint64_t config_hash() const;
+  // snapshot() into `snap`, which is empty or holds an earlier snapshot_into
+  // result whose buffers are reused.
+  void snapshot_into(rt::Snapshot& snap) const;
   void take_checkpoint(const std::string& cancel_reason = "");
   void restore_checkpoint();
   void evict_and_redistribute(int32_t victim);
@@ -167,6 +172,9 @@ class DistributedSolver {
   ResilienceStats published_;  // last rstats_ mirrored into the metrics registry
   int32_t pending_kill_ = -1;
   std::vector<int32_t> sentinel_cells_;
+  // take_checkpoint gathers into these buffers, which persist between
+  // checkpoints; the scratch-shrink relief releases them.
+  rt::Snapshot snap_;
   double prev_energy_ = 0.0;
   bool have_prev_energy_ = false;
 };
@@ -224,7 +232,8 @@ class BandSlices {
   // G[c * nb + b] and refreshes every slice's Io/beta at the new T.
   void update_temperature(const std::vector<double>& G, std::vector<double>& T);
 
-  std::vector<double> gather_intensity() const;
+  // Canonical I and Io/beta (pre-sized by the caller).
+  void gather_intensity(std::vector<double>& I) const;
   void gather_moments(std::vector<double>& Io, std::vector<double>& beta) const;
   void scatter(const std::vector<double>& I, const std::vector<double>& Io,
                const std::vector<double>& beta);

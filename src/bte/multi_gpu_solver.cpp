@@ -231,12 +231,12 @@ void MultiGpuSolver::roundtrip_with_guard(size_t p) {
   rt::DeviceBuffer& dev_I = mirrors_[p].dev_I;
   rt::SimGpu& gpu = *devices_[p];
   host_back_.resize(r.I.size());
-  const uint64_t want = resilient_ ? rt::checksum_doubles(r.I) : 0;
+  const rt::BlockChecksum want = resilient_ ? rt::block_checksum(r.I) : rt::BlockChecksum{};
   for (int attempt = 0;; ++attempt) {
     gpu.memcpy_h2d(dev_I, r.I);
     gpu.memcpy_d2h(host_back_, dev_I);
     if (!resilient_) return;
-    if (rt::checksum_doubles(host_back_) == want) return;
+    if (rt::block_checksum(host_back_).matches(want)) return;
     // Corrupted transfer: the band slice on the device (or the downloaded
     // copy) does not match the host truth. Re-drive the round trip.
     rstats_.faults_detected += 1;
@@ -283,7 +283,7 @@ void MultiGpuSolver::sdc_roundtrip(size_t p) {
   gpu.decay(m.dev_I, "dev_I");
   host_back_.resize(r.I.size());
   gpu.memcpy_d2h(host_back_, m.dev_I);
-  std::copy(host_back_.begin(), host_back_.end(), r.I.begin());
+  r.I.swap(host_back_);
   if (gpu.counters().silent_flips > flips_before && flip_step_ < 0) flip_step_ = step_index_;
 
   a0 = Clock::now();

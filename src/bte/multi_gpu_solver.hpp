@@ -84,7 +84,6 @@ class MultiGpuSolver : public DistributedSolver {
 
   const std::vector<double>& temperature() const { return T_; }
   std::vector<double> gather_temperature() const override { return T_; }
-  std::vector<double> gather_intensity() const override { return slices_.gather_intensity(); }
 
  private:
   // Device side of one band slice. Note: after step()'s I.swap(I_new), the
@@ -119,6 +118,9 @@ class MultiGpuSolver : public DistributedSolver {
   int64_t shrink_scratch() override;
   void sync_fault_telemetry() override;
   void validate() override;
+  void gather_intensity_into(std::vector<double>& I) const override {
+    slices_.gather_intensity(I);
+  }
   void gather_moments(std::vector<double>& Io, std::vector<double>& beta) const override {
     slices_.gather_moments(Io, beta);
   }

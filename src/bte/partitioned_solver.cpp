@@ -289,13 +289,9 @@ void CellPartitionedSolver::step() {
   arm_speculation_if_chronic();
   bsp_.compute_step(rank_seconds, rt::BspSimulator::Phase::Compute);
   if (sdc_armed()) audit_sentinels();
-  for (Rank& r : ranks_) {
-    // Commit owned values; ghosts refresh at the next exchange.
-    for (size_t lo = 0; lo < r.owned.size(); ++lo)
-      for (int k = 0; k < dofs_; ++k)
-        r.I[lo * static_cast<size_t>(dofs_) + static_cast<size_t>(k)] =
-            r.I_new[lo * static_cast<size_t>(dofs_) + static_cast<size_t>(k)];
-  }
+  // Commit owned values, the leading [owned * dofs] of I; ghosts refresh at
+  // the next exchange.
+  for (Rank& r : ranks_) std::copy(r.I_new.begin(), r.I_new.end(), r.I.begin());
   {
     rt::TraceSpan temp_span("cell.temperature", attrs);
     for (size_t p = 0; p < ranks_.size(); ++p) {
@@ -354,6 +350,12 @@ void CellPartitionedSolver::audit_sentinels() {
 
 void CellPartitionedSolver::validate() {
   rstats_.validations += 1;
+  // With SDC armed, the energy pass doubles as the owned cells' finiteness
+  // scan: a NaN or Inf element makes a Kahan sum non-finite for good, so a
+  // finite energy proves every owned value finite and only the ghosts are
+  // left to scan. Otherwise (or on a non-finite energy) the full scans run,
+  // and they name the offending entry.
+  bool owned_finite = false;
   if (sdc_armed()) {
     rt::KahanSum e;
     for (const Rank& r : ranks_) {
@@ -361,9 +363,13 @@ void CellPartitionedSolver::validate() {
       for (size_t i = 0; i < owned_len; ++i) e.add(r.I[i]);
     }
     check_energy_drift(e.sum);
+    owned_finite = std::isfinite(e.sum);
   }
   for (size_t p = 0; p < ranks_.size(); ++p) {
-    scan_finite(ranks_[p].I, static_cast<int>(p), "I");
+    const std::vector<double>& I = ranks_[p].I;
+    const size_t owned_len = ranks_[p].owned.size() * static_cast<size_t>(dofs_);
+    if (!owned_finite || !rt::all_finite(std::span<const double>(I).subspan(owned_len)))
+      scan_finite(I, static_cast<int>(p), "I");
     scan_finite(ranks_[p].T, static_cast<int>(p), "T");
   }
 }
@@ -417,14 +423,12 @@ std::vector<int32_t> CellPartitionedSolver::owner_counts() const {
   return counts;
 }
 
-std::vector<double> CellPartitionedSolver::gather_intensity() const {
-  std::vector<double> out(static_cast<size_t>(mesh_.num_cells()) * dofs_);
+void CellPartitionedSolver::gather_intensity_into(std::vector<double>& I) const {
+  const size_t dofs = static_cast<size_t>(dofs_);
   for (const Rank& r : ranks_)
     for (size_t lo = 0; lo < r.owned.size(); ++lo)
-      for (int k = 0; k < dofs_; ++k)
-        out[static_cast<size_t>(r.owned[lo]) * dofs_ + static_cast<size_t>(k)] =
-            r.I[lo * static_cast<size_t>(dofs_) + static_cast<size_t>(k)];
-  return out;
+      std::copy_n(r.I.begin() + static_cast<std::ptrdiff_t>(lo * dofs), dofs,
+                  I.begin() + static_cast<std::ptrdiff_t>(static_cast<size_t>(r.owned[lo]) * dofs));
 }
 
 std::vector<double> CellPartitionedSolver::gather_temperature() const {

@@ -108,8 +108,6 @@ class CellPartitionedSolver : public BspSolver {
 
   void step() override;
 
-  // Gathers the distributed field back to global ordering for comparison.
-  std::vector<double> gather_intensity() const override;
   std::vector<double> gather_temperature() const override;
   // Per-cell owner multiplicity (how many ranks claim each cell).
   std::vector<int32_t> owner_counts() const override;
@@ -137,6 +135,7 @@ class CellPartitionedSolver : public BspSolver {
   // its whole shard moves to the survivors (nparts()-1 ranks).
   void relayout_away(int32_t victim) override;
   void validate() override;
+  void gather_intensity_into(std::vector<double>& I) const override;
   void gather_moments(std::vector<double>& Io, std::vector<double>& beta) const override;
   void scatter(const std::vector<double>& I, const std::vector<double>& T,
                const std::vector<double>& Io, const std::vector<double>& beta) override;
@@ -167,7 +166,6 @@ class BandPartitionedSolver : public BspSolver {
 
   void step() override;
 
-  std::vector<double> gather_intensity() const override { return slices_.gather_intensity(); }
   std::vector<double> gather_temperature() const override { return T_; }
   const std::vector<double>& temperature() const { return T_; }
   // Per-band owner multiplicity.
@@ -188,6 +186,9 @@ class BandPartitionedSolver : public BspSolver {
   // survivors absorb the rest; the fleet keeps its rank count.
   void relayout_away(int32_t victim) override;
   void validate() override;
+  void gather_intensity_into(std::vector<double>& I) const override {
+    slices_.gather_intensity(I);
+  }
   void gather_moments(std::vector<double>& Io, std::vector<double>& beta) const override {
     slices_.gather_moments(Io, beta);
   }

@@ -34,7 +34,7 @@
 #include <vector>
 
 #include "svc/scheduler.hpp"
-#include "svc/supervisor.hpp"
+#include "svc/attempt_engine.hpp"
 
 namespace finch::bte {
 

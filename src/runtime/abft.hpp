@@ -45,6 +45,11 @@ struct KahanSum {
 // Signature of one block: Fletcher-64 lanes over the doubles' bit patterns
 // plus the Kahan value-sum. Comparison is exact (bit patterns, not values),
 // so -0.0 vs 0.0 or a quiet flip in a low mantissa bit cannot slip through.
+// fold() is the incremental, per-element definition; block_checksum and
+// BlockLedger compute the same fields bit for bit, faster (see abft.cpp).
+// One exception: once two different NaN payloads meet in the Kahan sum, IEEE
+// 754 leaves open which one the sum carries, so a NaN sum's bits are only
+// reproducible along one code path. The Fletcher lanes see every bit.
 struct BlockChecksum {
   uint64_t lo = 0;  // Fletcher lane: running sum of 32-bit words
   uint64_t hi = 0;  // Fletcher lane: running sum of running sums
@@ -78,14 +83,17 @@ struct BlockChecksum {
 };
 
 // Checksum of a whole span in one pass — the sidecar attached to a message
-// or transfer, verified on receipt.
+// or transfer, verified on receipt. Equal, field for field, to folding every
+// element in order; the Fletcher modulo is deferred to once per 4096
+// elements, which is congruent and cannot overflow.
 BlockChecksum block_checksum(std::span<const double> data);
 
 // Per-block checksum ledger over a flat array of n doubles, split into
 // fixed-size blocks (the last one ragged). The owner refreshes blocks after
 // writing them (update / update_block) and verifies the stored signatures
 // against the array's current contents; a mismatch localizes corruption to a
-// block index whose [begin, end) range the solver can recompute.
+// block index whose [begin, end) range the solver can recompute. update and
+// verify fold four blocks in lockstep, so their serial Kahan chains overlap.
 class BlockLedger {
  public:
   BlockLedger() = default;
@@ -116,6 +124,8 @@ class BlockLedger {
   const BlockChecksum& checksum(size_t block_index) const { return sums_[block_index]; }
 
  private:
+  void checksum_all(std::span<const double> data, BlockChecksum* out) const;
+
   size_t n_ = 0;
   size_t block_ = 0;
   std::vector<BlockChecksum> sums_;

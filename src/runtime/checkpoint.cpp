@@ -23,8 +23,25 @@ constexpr uint64_t kMagic = 0x46434e4b50543031ULL;  // "FCNKPT01"
 // failures name the damaged field instead of a bare image-level mismatch.
 constexpr uint32_t kVersion = 2;
 
-void put_u64(std::vector<std::byte>& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
+constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
+
+uint64_t fnv1a64_feed(uint64_t h, const std::byte* p, size_t n) {
+  for (size_t i = 0; i < n; ++i) h = (h ^ static_cast<uint64_t>(p[i])) * kFnvPrime;
+  return h;
+}
+
+// A field payload feeds two FNV-1a chains, the field's own and the whole
+// image's; one loop advances both, so their multiply latencies overlap.
+void fnv1a64_feed2(uint64_t& field, uint64_t& image, const std::byte* p, size_t n) {
+  uint64_t a = field, b = image;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t x = static_cast<uint64_t>(p[i]);
+    a = (a ^ x) * kFnvPrime;
+    b = (b ^ x) * kFnvPrime;
+  }
+  field = a;
+  image = b;
 }
 
 uint64_t get_u64(std::span<const std::byte> bytes, size_t& off) {
@@ -35,15 +52,39 @@ uint64_t get_u64(std::span<const std::byte> bytes, size_t& off) {
   return v;
 }
 
+// Writes an image front to back into a buffer already sized for it, feeding
+// every byte but the trailing checksum to the whole-image chain.
+struct ImageWriter {
+  std::byte* p;
+  uint64_t image = kFnvOffset;
+
+  void put_u64(uint64_t v) {
+    for (int i = 0; i < 8; ++i) p[i] = static_cast<std::byte>((v >> (8 * i)) & 0xff);
+    image = fnv1a64_feed(image, p, 8);
+    p += 8;
+  }
+  void put_name(const std::string& name) {
+    if (name.empty()) return;
+    std::memcpy(p, name.data(), name.size());
+    image = fnv1a64_feed(image, p, name.size());
+    p += name.size();
+  }
+  // A field payload followed by its own checksum.
+  void put_payload(std::span<const std::byte> raw) {
+    uint64_t field = kFnvOffset;
+    if (!raw.empty()) {
+      std::memcpy(p, raw.data(), raw.size());
+      fnv1a64_feed2(field, image, raw.data(), raw.size());
+      p += raw.size();
+    }
+    put_u64(field);
+  }
+};
+
 }  // namespace
 
 uint64_t fnv1a64(std::span<const std::byte> bytes) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::byte b : bytes) {
-    h ^= static_cast<uint64_t>(b);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  return fnv1a64_feed(kFnvOffset, bytes.data(), bytes.size());
 }
 
 uint64_t checksum_doubles(std::span<const double> data) {
@@ -73,20 +114,31 @@ bool Snapshot::has(std::string_view name) const {
 
 std::vector<std::byte> serialize(const Snapshot& snap) {
   std::vector<std::byte> out;
-  put_u64(out, kMagic);
-  put_u64(out, kVersion);
-  put_u64(out, static_cast<uint64_t>(snap.step));
-  put_u64(out, static_cast<uint64_t>(snap.fields.size()));
-  for (const auto& [name, data] : snap.fields) {
-    put_u64(out, static_cast<uint64_t>(name.size()));
-    for (char c : name) out.push_back(static_cast<std::byte>(c));
-    put_u64(out, static_cast<uint64_t>(data.size()));
-    const auto raw = std::as_bytes(std::span<const double>(data));
-    out.insert(out.end(), raw.begin(), raw.end());
-    put_u64(out, fnv1a64(raw));  // per-field checksum: names the damage on load
-  }
-  put_u64(out, fnv1a64(out));
+  serialize(snap, out);
   return out;
+}
+
+void serialize(const Snapshot& snap, std::vector<std::byte>& out) {
+  // Header (magic, version, step, field count) and trailing checksum, plus
+  // per field a name length, the name, an element count, the payload and the
+  // payload checksum.
+  size_t size = 5 * 8;
+  for (const auto& [name, data] : snap.fields)
+    size += 3 * 8 + name.size() + data.size() * sizeof(double);
+  out.resize(size);
+  ImageWriter w{out.data()};
+  w.put_u64(kMagic);
+  w.put_u64(kVersion);
+  w.put_u64(static_cast<uint64_t>(snap.step));
+  w.put_u64(static_cast<uint64_t>(snap.fields.size()));
+  for (const auto& [name, data] : snap.fields) {
+    w.put_u64(static_cast<uint64_t>(name.size()));
+    w.put_name(name);
+    w.put_u64(static_cast<uint64_t>(data.size()));
+    w.put_payload(std::as_bytes(std::span<const double>(data)));
+  }
+  const uint64_t image = w.image;
+  w.put_u64(image);
 }
 
 Snapshot deserialize(std::span<const std::byte> bytes) {
@@ -101,6 +153,14 @@ Snapshot deserialize(std::span<const std::byte> bytes) {
   snap.step = static_cast<int64_t>(get_u64(bytes, off));
   const uint64_t nfields = get_u64(bytes, off);
   snap.fields.reserve(nfields);
+  // The whole-image chain trails the walk: bytes before `hashed` are fed, and
+  // each payload is fed together with its field chain in one pass.
+  uint64_t image = kFnvOffset;
+  size_t hashed = 0;
+  const auto hash_upto = [&](size_t end) {
+    image = fnv1a64_feed(image, bytes.data() + hashed, end - hashed);
+    hashed = end;
+  };
   // The structural walk runs before the trailing whole-image checksum so a
   // torn or corrupted image names the field where the damage sits — "field 2
   // ('Io')" — instead of a bare mismatch; only header/metadata corruption the
@@ -124,21 +184,24 @@ Snapshot deserialize(std::span<const std::byte> bytes) {
     // slip past the bound and read out of the buffer.
     if (count > (bytes.size() - off) / sizeof(double))
       throw field_error(name, "truncated (payload exceeds remaining bytes)");
+    const size_t payload_len = count * sizeof(double);
     std::vector<double> data(count);
-    std::memcpy(data.data(), bytes.data() + off, count * sizeof(double));
-    const auto payload = bytes.subspan(off, count * sizeof(double));
-    off += count * sizeof(double);
+    if (count > 0) std::memcpy(data.data(), bytes.data() + off, payload_len);
+    hash_upto(off);
+    uint64_t field = kFnvOffset;
+    fnv1a64_feed2(field, image, bytes.data() + off, payload_len);
+    off += payload_len;
+    hashed = off;
     if (off + 8 > bytes.size()) throw field_error(name, "truncated (no field checksum)");
-    if (get_u64(bytes, off) != fnv1a64(payload))
-      throw field_error(name, "checksum mismatch");
+    if (get_u64(bytes, off) != field) throw field_error(name, "checksum mismatch");
     snap.fields.emplace_back(std::move(name), std::move(data));
   }
   if (off + 8 > bytes.size())
     throw CheckpointError("checkpoint truncated after field " + std::to_string(nfields) +
                           " (missing trailing checksum)");
-  const uint64_t stored = fnv1a64(bytes.subspan(0, bytes.size() - 8));
+  hash_upto(bytes.size() - 8);
   size_t tail = bytes.size() - 8;
-  if (get_u64(bytes, tail) != stored)
+  if (get_u64(bytes, tail) != image)
     throw CheckpointError("checkpoint checksum mismatch (header or metadata corrupted)");
   return snap;
 }
@@ -219,8 +282,10 @@ std::vector<std::byte> read_bytes_file(const std::string& path) {
 }
 
 void CheckpointStore::save(const Snapshot& snap) {
-  if (!image_.empty()) prev_image_ = std::move(image_);
-  image_ = serialize(snap);
+  // The latest image becomes generation 1, and the new one is written into
+  // the buffer the old generation 1 held, reusing its capacity.
+  if (!image_.empty()) image_.swap(prev_image_);
+  serialize(snap, image_);
   latest_step_ = snap.step;
   latest_bytes_ = static_cast<int64_t>(image_.size());
   saves_ += 1;

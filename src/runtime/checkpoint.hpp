@@ -65,6 +65,10 @@ struct Snapshot {
 };
 
 std::vector<std::byte> serialize(const Snapshot& snap);
+// The same image written into `out`, which is resized and keeps its capacity.
+// The image is sized once and each payload copied whole; the per-field and
+// trailing checksums advance in the same pass over the payload bytes.
+void serialize(const Snapshot& snap, std::vector<std::byte>& out);
 // Throws CheckpointError on bad magic, unsupported version, truncation, or
 // checksum mismatch. Truncation and payload corruption name the field where
 // parsing or verification failed ("truncated in field 2 ('Io')"); only

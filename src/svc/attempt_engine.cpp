@@ -1,4 +1,4 @@
-#include "supervisor.hpp"
+#include "attempt_engine.hpp"
 
 #include <algorithm>
 #include <dirent.h>

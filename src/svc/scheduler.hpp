@@ -67,7 +67,7 @@
 #include <vector>
 
 #include "runtime/memory.hpp"
-#include "supervisor.hpp"
+#include "attempt_engine.hpp"
 
 namespace finch::rt {
 class ThreadPool;

@@ -24,7 +24,7 @@
 #include "runtime/checkpoint.hpp"
 #include "runtime/manifest.hpp"
 #include "svc/job_file.hpp"
-#include "svc/supervisor.hpp"
+#include "svc/attempt_engine.hpp"
 
 using namespace finch;
 using namespace finch::svc;

@@ -6,9 +6,13 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <span>
+#include <string>
+#include <vector>
 
 #include "bte/direct_solver.hpp"
 #include "bte/multi_gpu_solver.hpp"
@@ -382,6 +386,107 @@ TEST(Checkpoint, StoreKeepsLatest) {
   EXPECT_EQ(store.latest_step(), 8);
   EXPECT_EQ(store.saves(), 2);
   EXPECT_EQ(store.load_latest().field("f")[0], 9.0);
+}
+
+namespace {
+
+// The v2 writer as it stood before the one-pass serializer: byte push_backs
+// and two separate FNV-1a passes. Kept here to pin the image byte for byte.
+void legacy_put_u64(std::vector<std::byte>& out, uint64_t v) {
+  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
+}
+
+uint64_t legacy_fnv1a64(std::span<const std::byte> bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::byte b : bytes) {
+    h ^= static_cast<uint64_t>(b);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::vector<std::byte> legacy_serialize(const rt::Snapshot& snap) {
+  std::vector<std::byte> out;
+  legacy_put_u64(out, 0x46434e4b50543031ULL);
+  legacy_put_u64(out, 2);
+  legacy_put_u64(out, static_cast<uint64_t>(snap.step));
+  legacy_put_u64(out, static_cast<uint64_t>(snap.fields.size()));
+  for (const auto& [name, data] : snap.fields) {
+    legacy_put_u64(out, static_cast<uint64_t>(name.size()));
+    for (char c : name) out.push_back(static_cast<std::byte>(c));
+    legacy_put_u64(out, static_cast<uint64_t>(data.size()));
+    const auto raw = std::as_bytes(std::span<const double>(data));
+    out.insert(out.end(), raw.begin(), raw.end());
+    legacy_put_u64(out, legacy_fnv1a64(raw));
+  }
+  legacy_put_u64(out, legacy_fnv1a64(out));
+  return out;
+}
+
+// Several fields of different sizes, an empty field and an empty name, and
+// bit patterns a lossy path would destroy; the values depend on `step`.
+rt::Snapshot pin_snapshot(int64_t step) {
+  rt::Snapshot snap;
+  snap.step = step;
+  std::vector<double> I(3000);
+  for (size_t i = 0; i < I.size(); ++i)
+    I[i] = std::sin(0.001 * static_cast<double>(i) + static_cast<double>(step)) * 1e-3;
+  I[7] = -0.0;
+  I[8] = std::numeric_limits<double>::quiet_NaN();
+  I[9] = std::numeric_limits<double>::infinity();
+  I[10] = 5e-324;
+  snap.add("I", I);
+  snap.add("T", std::vector<double>{300.0 + static_cast<double>(step), 301.5, -1.0});
+  snap.add("empty", std::vector<double>{});
+  snap.add("", std::vector<double>{1.0, 2.0});
+  snap.add("Io", std::vector<double>(17, 0.25 * static_cast<double>(step)));
+  return snap;
+}
+
+}  // namespace
+
+TEST(Checkpoint, SerializeIsByteIdenticalToTheLegacyWriter) {
+  for (int64_t step : {0, 8, -3}) {
+    const rt::Snapshot snap = pin_snapshot(step);
+    const std::vector<std::byte> want = legacy_serialize(snap);
+    EXPECT_EQ(rt::serialize(snap), want) << "step " << step;
+    // Writing into a reused buffer, larger or smaller, gives the same bytes.
+    std::vector<std::byte> reused(want.size() + 100, std::byte{0xab});
+    rt::serialize(snap, reused);
+    EXPECT_EQ(reused, want) << "step " << step;
+    reused.assign(5, std::byte{0xcd});
+    rt::serialize(snap, reused);
+    EXPECT_EQ(reused, want) << "step " << step;
+    EXPECT_EQ(rt::deserialize(want).step, step);
+  }
+}
+
+TEST(Checkpoint, StoreReusesImageBuffersAcrossSaves) {
+  const std::string dir = "resilience_test_store_reuse";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  rt::CheckpointStore store(dir, 2);
+  for (int64_t step : {10, 20, 30}) store.save(pin_snapshot(step));
+  ASSERT_EQ(store.generations(), 2);
+  EXPECT_EQ(store.load(0).step, 30);
+  EXPECT_EQ(store.load(1).step, 20);
+  EXPECT_EQ(store.image_copy(0), legacy_serialize(pin_snapshot(30)));
+  EXPECT_EQ(store.image_copy(1), legacy_serialize(pin_snapshot(20)));
+
+  // The reliefs still free the in-memory images and report their capacity;
+  // the generations stay readable from their files.
+  const int64_t image_bytes = store.bytes_stored();
+  EXPECT_GE(store.drop_previous_generation(), image_bytes);
+  EXPECT_EQ(store.load(1).step, 20);
+  EXPECT_GE(store.spill(), image_bytes);
+  EXPECT_EQ(store.spill(), 0);
+  EXPECT_EQ(store.load(0).step, 30);
+
+  store.save(pin_snapshot(40));
+  EXPECT_EQ(store.load(0).step, 40);
+  EXPECT_EQ(store.load(1).step, 30);
+  EXPECT_EQ(store.image_copy(0), legacy_serialize(pin_snapshot(40)));
+  std::filesystem::remove_all(dir);
 }
 
 // ---- recovery: solvers under injected faults ----------------------------

@@ -8,8 +8,12 @@
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <memory>
+#include <random>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bte/direct_solver.hpp"
@@ -117,6 +121,158 @@ TEST(Abft, RaggedLastBlockIsCovered) {
   const auto bad = ledger.verify(data);
   ASSERT_EQ(bad.size(), 1u);
   EXPECT_EQ(bad[0], 3u);
+}
+
+namespace {
+
+// BlockChecksum::fold as it stood before the deferred-modulo fast path: four
+// dependent `% 0xffffffff` per element. The fast paths must reproduce every
+// field of it bit for bit.
+rt::BlockChecksum per_element_fold(std::span<const double> data) {
+  rt::BlockChecksum c;
+  for (double v : data) {
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    c.lo = (c.lo + (bits & 0xffffffffULL)) % 0xffffffffULL;
+    c.hi = (c.hi + c.lo) % 0xffffffffULL;
+    c.lo = (c.lo + (bits >> 32)) % 0xffffffffULL;
+    c.hi = (c.hi + c.lo) % 0xffffffffULL;
+    const double y = v - c.comp;
+    const double t = c.sum + y;
+    c.comp = (t - c.sum) - y;
+    c.sum = t;
+    ++c.count;
+  }
+  return c;
+}
+
+uint64_t bits_of(double v) {
+  uint64_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+// IEEE 754 leaves open which payload an addition of two different NaNs
+// returns, and the compiler may commute the operands, so a NaN Kahan value is
+// matched by NaN-ness. Every other value, infinities and signed zeros
+// included, is matched bit for bit.
+void expect_same_value(double got, double want, const std::string& what) {
+  if (std::isnan(want))
+    EXPECT_TRUE(std::isnan(got)) << what;
+  else
+    EXPECT_EQ(bits_of(got), bits_of(want)) << what;
+}
+
+void expect_same_fields(const rt::BlockChecksum& got, const rt::BlockChecksum& want,
+                        const std::string& what) {
+  EXPECT_EQ(got.lo, want.lo) << what;
+  EXPECT_EQ(got.hi, want.hi) << what;
+  expect_same_value(got.sum, want.sum, what + " sum");
+  expect_same_value(got.comp, want.comp, what + " comp");
+  EXPECT_EQ(got.count, want.count) << what;
+}
+
+// Random bit patterns mixed with the values a checksum must not mishandle:
+// NaN payloads, signed zeros, infinities, denormals and all-ones 32-bit words.
+// With `finite`, every value is finite and of moderate magnitude (random sign
+// and mantissa, binary exponent in [-200, 200], plus signed zeros, denormals
+// and an all-ones low word), so the Kahan sum and its compensation stay
+// finite and are compared bit for bit.
+std::vector<double> adversarial(size_t n, uint64_t seed, bool finite = false) {
+  static const uint64_t kSpecial[] = {
+      0x7ff8000000000001ULL, 0xfff8deadbeef0000ULL, 0x7ff0000000000001ULL,  // NaNs
+      0x0000000000000000ULL, 0x8000000000000000ULL,                          // +-0
+      0x7ff0000000000000ULL, 0xfff0000000000000ULL,                          // +-Inf
+      0x0000000000000001ULL, 0x800fffffffffffffULL,                          // denormals
+      0xffffffff00000000ULL, 0x00000000ffffffffULL, 0xffffffffffffffffULL,   // all-ones words
+      0x7fefffffffffffffULL, 0x3ff0000000000000ULL};
+  static const uint64_t kFiniteSpecial[] = {
+      0x0000000000000000ULL, 0x8000000000000000ULL, 0x0000000000000001ULL,
+      0x800fffffffffffffULL, 0x3ff00000ffffffffULL, 0xbff0000000000000ULL};
+  std::mt19937_64 rng(seed);
+  std::vector<double> v(n);
+  for (double& x : v) {
+    const uint64_t r = rng();
+    uint64_t bits = rng();
+    if (finite) {
+      const uint64_t exponent = 1023 - 200 + (bits >> 52) % 401;
+      bits = (bits & 0x800fffffffffffffULL) | (exponent << 52);
+      if ((r & 3) == 0) bits = kFiniteSpecial[(r >> 2) % std::size(kFiniteSpecial)];
+    } else if ((r & 3) == 0) {
+      bits = kSpecial[(r >> 2) % std::size(kSpecial)];
+    }
+    std::memcpy(&x, &bits, sizeof(x));
+  }
+  return v;
+}
+
+}  // namespace
+
+TEST(Abft, FastChecksumMatchesPerElementFoldInEveryField) {
+  for (bool finite : {false, true})
+    for (size_t n : {0u, 1u, 2u, 3u, 4095u, 4096u, 4097u, 8192u, 12289u}) {
+      const std::vector<double> data = adversarial(n, 11 + n, finite);
+      const std::string what = "n=" + std::to_string(n) + (finite ? " finite" : "");
+      const rt::BlockChecksum want = per_element_fold(data);
+      expect_same_fields(rt::block_checksum(data), want, "block_checksum " + what);
+      rt::BlockChecksum folded;
+      for (double v : data) folded.fold(v);
+      expect_same_fields(folded, want, "fold " + what);
+    }
+}
+
+TEST(Abft, LockstepLedgerMatchesPerElementFoldPerBlock) {
+  // (n, block size): ragged last blocks and block counts that are not a
+  // multiple of the four lockstep lanes, as well as ones that are.
+  const std::pair<size_t, size_t> shapes[] = {{0, 4},    {1, 1},    {2, 1},   {7, 2},
+                                              {50, 16},  {64, 16},  {120, 24}, {143, 10},
+                                              {128, 16}, {9000, 1000}};
+  for (bool finite : {false, true}) {
+    for (const auto& [n, block] : shapes) {
+      std::vector<double> data = adversarial(n, 7 * n + block, finite);
+      rt::BlockLedger ledger(n, block);
+      ledger.update(data);
+      for (size_t b = 0; b < ledger.num_blocks(); ++b) {
+        const auto r = ledger.range(b);
+        const auto block_data = std::span<const double>(data).subspan(r.begin, r.end - r.begin);
+        expect_same_fields(ledger.checksum(b), per_element_fold(block_data),
+                           "n=" + std::to_string(n) + " block " + std::to_string(b));
+      }
+      EXPECT_TRUE(ledger.verify(data).empty());
+      // A flip in each block is localized to exactly that block.
+      for (size_t b = 0; b < ledger.num_blocks(); ++b) {
+        const size_t i = ledger.range(b).end - 1;
+        std::vector<double> hit = data;
+        const uint64_t flipped = bits_of(hit[i]) ^ 1ULL;
+        std::memcpy(&hit[i], &flipped, sizeof(flipped));
+        const auto bad = ledger.verify(hit);
+        ASSERT_EQ(bad.size(), 1u) << "n=" << n << " block " << b;
+        EXPECT_EQ(bad[0], b);
+      }
+    }
+  }
+}
+
+TEST(Abft, DeferredModuloIsExactOverBlocksLongerThanTheReductionInterval) {
+  // 2^20 elements per block, 256 reduction intervals. All-ones words grow the
+  // unreduced Fletcher sums fastest, so a wrap would show as a wrong residue.
+  constexpr size_t kBlock = size_t{1} << 20;
+  std::vector<double> ones(kBlock);
+  const uint64_t all_ones = ~uint64_t{0};
+  for (double& x : ones) std::memcpy(&x, &all_ones, sizeof(x));
+  expect_same_fields(rt::block_checksum(ones), per_element_fold(ones), "all-ones");
+
+  std::vector<double> data = adversarial(4 * kBlock + 3, 2024, /*finite=*/true);
+  rt::BlockLedger ledger(data.size(), kBlock);
+  ledger.update(data);
+  ASSERT_EQ(ledger.num_blocks(), 5u);
+  for (size_t b = 0; b < ledger.num_blocks(); ++b) {
+    const auto r = ledger.range(b);
+    const auto block_data = std::span<const double>(data).subspan(r.begin, r.end - r.begin);
+    expect_same_fields(ledger.checksum(b), per_element_fold(block_data),
+                       "long block " + std::to_string(b));
+  }
+  EXPECT_TRUE(ledger.verify(data).empty());
 }
 
 // ---- silent fault injection --------------------------------------------------
