@@ -23,11 +23,11 @@
 // the oracle at each candidate. The minimal failing schedule round-trips
 // through JSON (runtime/chaos.hpp) as the replayable repro artifact.
 //
-// Everything is deterministic in (seed, index): wall-clock-driven mitigations
-// (speculation, dynamic rebalance) are off by default in ChaosDefense because
-// they change which recovery actions run from one execution to the next —
-// the numerics stay exact, but "same schedule, same verdict" would not hold
-// for the shrinker.
+// Everything is deterministic in (seed, index): the solvers' virtual clocks
+// charge modeled work, so even the timing-driven mitigations (speculation,
+// dynamic rebalance) act the same way on every replay. They stay off by
+// default in ChaosDefense, the defense the campaign baselines were judged
+// under.
 //
 // Instrumented with rt::TraceSpan ("chaos.schedule", "chaos.shrink") and
 // chaos.* metrics (OBSERVABILITY.md).
@@ -52,10 +52,8 @@ struct ChaosDefense {
   int max_rollbacks = 64;
   bool sdc = true;        // ABFT checksums + sentinels + block repair
   bool straggler = true;  // detector + exchange watchdog (hang escalation)
-  // Off by default: both react to *measured wall time*, so the set of
-  // recovery actions they take differs run to run even under an identical
-  // schedule — poison for delta debugging. Campaigns that only measure
-  // survival (not shrink) may enable them.
+  // Off by default, the defense the campaign baselines were judged under.
+  // Both react to the modeled per-rank times, deterministically.
   bool speculation = false;
   bool rebalance = false;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <stdexcept>
 
 namespace finch::bte {
@@ -13,7 +14,37 @@ DistributedSolver::DistributedSolver(const BteScenario& scenario,
       nd_(phys_->num_dirs()),
       nb_(phys_->num_bands()),
       sites_(std::move(sites)),
-      mem_site_(sites_.kind + "-mem") {}
+      mem_site_(sites_.kind + "-mem"),
+      pool_(&rt::ThreadPool::shared()) {}
+
+void DistributedSolver::for_each_rank(size_t n, const std::function<void(size_t)>& fn) {
+  if (n == 0) return;
+  std::vector<std::exception_ptr> errors(n);
+  const auto body = [&](int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) {
+      try {
+        fn(static_cast<size_t>(i));
+      } catch (...) {
+        errors[static_cast<size_t>(i)] = std::current_exception();
+      }
+    }
+  };
+  if (n == 1 || pool_ == nullptr ||
+      !pool_->try_parallel_for_chunks(0, static_cast<int64_t>(n), body, 1))
+    body(0, static_cast<int64_t>(n));
+  for (const std::exception_ptr& e : errors)
+    if (e) std::rethrow_exception(e);
+}
+
+void DistributedSolver::for_each_chunk(size_t n, const std::function<void(size_t, size_t)>& fn) {
+  // A few chunks per lane balance the load; the tiling does not affect the
+  // result, since every chunk writes only its own entries.
+  const size_t lanes = pool_ == nullptr ? 1 : static_cast<size_t>(pool_->size()) + 1;
+  const size_t chunk = std::max<size_t>(1, (n + 4 * lanes - 1) / (4 * lanes));
+  for_each_rank((n + chunk - 1) / chunk, [&](size_t k) {
+    fn(k * chunk, std::min(n, (k + 1) * chunk));
+  });
+}
 
 void DistributedSolver::run(int nsteps) {
   if (!resilient_) {
@@ -279,13 +310,21 @@ void DistributedSolver::check_energy_drift(double energy) {
   have_prev_energy_ = true;
 }
 
-void DistributedSolver::scan_finite(const std::vector<double>& v, int rank, const char* field) {
-  size_t bad = 0;
-  if (rt::all_finite(v, &bad)) return;
-  health_.finite_ok = false;
-  health_.nonfinite_values += 1;
-  health_.detail = (rank >= 0 ? "rank " + std::to_string(rank) + " " : std::string()) + field +
-                   "[" + std::to_string(bad) + "] non-finite";
+void DistributedSolver::scan_finite(const std::vector<FieldScan>& scans) {
+  constexpr size_t kClean = static_cast<size_t>(-1);
+  std::vector<size_t> bad(scans.size(), kClean);
+  for_each_rank(scans.size(), [&](size_t k) {
+    size_t first = 0;
+    if (!rt::all_finite(scans[k].values, &first)) bad[k] = scans[k].offset + first;
+  });
+  for (size_t k = 0; k < scans.size(); ++k) {
+    if (bad[k] == kClean) continue;
+    const FieldScan& f = scans[k];
+    health_.finite_ok = false;
+    health_.nonfinite_values += 1;
+    health_.detail = (f.rank >= 0 ? "rank " + std::to_string(f.rank) + " " : std::string()) +
+                     f.field + "[" + std::to_string(bad[k]) + "] non-finite";
+  }
 }
 
 const std::vector<int32_t>& DistributedSolver::sentinel_cells() {
@@ -364,17 +403,19 @@ void BandSlices::scatter_sums(const Slice& s, const std::vector<double>& sums,
       G[c * static_cast<size_t>(nb_) + static_cast<size_t>(s.b_lo) + lb] = sums[c * bl + lb];
 }
 
-void BandSlices::sum_into(const Slice& s, std::vector<double>& G) const {
+void BandSlices::sum_into(const Slice& s, std::vector<double>& G, size_t c_begin,
+                          size_t c_end) const {
   const size_t bl = static_cast<size_t>(s.bands());
-  for (size_t c = 0; c < static_cast<size_t>(ncell_); ++c)
+  for (size_t c = c_begin; c < c_end; ++c)
     for (size_t lb = 0; lb < bl; ++lb)
       G[c * static_cast<size_t>(nb_) + static_cast<size_t>(s.b_lo) + lb] =
           band_sum(s, c * bl + lb);
 }
 
-void BandSlices::update_temperature(const std::vector<double>& G, std::vector<double>& T) {
+void BandSlices::update_temperature(const std::vector<double>& G, std::vector<double>& T,
+                                    size_t c_begin, size_t c_end) {
   std::vector<double> g(static_cast<size_t>(nb_));
-  for (size_t c = 0; c < static_cast<size_t>(ncell_); ++c) {
+  for (size_t c = c_begin; c < c_end; ++c) {
     std::copy_n(G.begin() + static_cast<std::ptrdiff_t>(c * static_cast<size_t>(nb_)), nb_,
                 g.begin());
     const double Tc = phys_->table.solve_temperature(g, T[c]);

@@ -11,17 +11,29 @@
 // field scan, canonical gather/scatter, rebuild at M parts, the rebalance
 // layout, its virtual clock, scratch relief and fault-telemetry sync).
 //
+// Ranks run at once: each strategy fans its per-rank compute (sweeps,
+// commits, temperature updates, ledger upkeep, validation scans) out on a
+// thread pool through for_each_rank / for_each_chunk, while every
+// FaultInjector consultation, every health_ write and every BSP exchange or
+// reduction stays on the calling thread in a fixed order. The virtual clocks
+// charge modeled work (cost_model.hpp), never wall time, so fields, virtual
+// time, fault schedules and ResilienceStats are identical at any thread
+// count.
+//
 // BandSlices is the band-slice layout shared by the band and multi-GPU
 // strategies, and upwind_sweep the one intensity kernel all three run.
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bte_problem.hpp"
 #include "resilience.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace finch::bte {
 
@@ -74,6 +86,13 @@ class DistributedSolver {
   // Virtual seconds on the strategy's clock; equals phase_total() exactly.
   virtual double virtual_elapsed() const = 0;
   virtual double phase_total() const = 0;
+
+  // Runs the ranks' compute on `pool`; nullptr runs them one after another on
+  // the calling thread. The default is rt::ThreadPool::shared(). A pool that
+  // another caller holds (another solver, or Scheduler attempts racing each
+  // other) is not waited for: the ranks then run inline. Results and virtual
+  // time do not depend on the choice.
+  void use_threads(rt::ThreadPool* pool) { pool_ = pool; }
 
  protected:
   // Names a strategy in manifests and fault sites: `kind` is the manifest
@@ -130,12 +149,28 @@ class DistributedSolver {
     charge_recovery(seconds);
     rstats_.recovery_seconds += seconds;
   }
+  // fn(i) for every i in [0, n): concurrently on the pool when it is set and
+  // free, otherwise in order on the calling thread. fn must not consult the
+  // injector, write health_ or rstats_, or touch the virtual clock. The
+  // exception of the lowest failing i, if any, is rethrown here.
+  void for_each_rank(size_t n, const std::function<void(size_t)>& fn);
+  // fn(begin, end) over chunks that tile [0, n), under the same rules.
+  void for_each_chunk(size_t n, const std::function<void(size_t, size_t)>& fn);
   void note_sdc_detection();
   // Energy-balance tripwire: a per-step relative drift of `energy` beyond the
   // tolerance is recorded, not health-failing (see SdcOptions).
   void check_energy_drift(double energy);
-  // NaN/Inf scan of one field; `rank` < 0 omits the rank prefix.
-  void scan_finite(const std::vector<double>& v, int rank, const char* field);
+  // One NaN/Inf scan of validate(): `values` are elements [offset, ...) of
+  // `field` on `rank` (< 0 omits the rank prefix).
+  struct FieldScan {
+    std::span<const double> values;
+    size_t offset;
+    int rank;
+    const char* field;
+  };
+  // Runs the scans concurrently, then records each hit in health_ in the
+  // order given; the detail names the last hit's first non-finite element.
+  void scan_finite(const std::vector<FieldScan>& scans);
   // Spread-out sentinel cells of the redundant-recompute audit (lazy).
   const std::vector<int32_t>& sentinel_cells();
   // kill_rank / kill_device: the victim is evicted at the next step boundary.
@@ -169,6 +204,7 @@ class DistributedSolver {
 
   Sites sites_;
   std::string mem_site_;
+  rt::ThreadPool* pool_;
   ResilienceStats published_;  // last rstats_ mirrored into the metrics registry
   int32_t pending_kill_ = -1;
   std::vector<int32_t> sentinel_cells_;
@@ -225,12 +261,15 @@ class BandSlices {
   void reduce(const Slice& s, size_t begin, size_t end, std::vector<double>& out) const;
   // Writes slice-ordered sums `sums` into the canonical G[c * nb + b].
   void scatter_sums(const Slice& s, const std::vector<double>& sums, std::vector<double>& G) const;
-  // G[c * nb + b] = band_sum for every band `s` owns.
-  void sum_into(const Slice& s, std::vector<double>& G) const;
+  // G[c * nb + b] = band_sum for every band `s` owns, cells [c_begin, c_end).
+  void sum_into(const Slice& s, std::vector<double>& G, size_t c_begin, size_t c_end) const;
 
-  // Replicated temperature update: solves T per cell from the gathered sums
-  // G[c * nb + b] and refreshes every slice's Io/beta at the new T.
-  void update_temperature(const std::vector<double>& G, std::vector<double>& T);
+  // Replicated temperature update of cells [c_begin, c_end): solves T per
+  // cell from the gathered sums G[c * nb + b] and refreshes every slice's
+  // Io/beta at the new T. Disjoint cell ranges write disjoint entries, so
+  // they may run concurrently.
+  void update_temperature(const std::vector<double>& G, std::vector<double>& T, size_t c_begin,
+                          size_t c_end);
 
   // Canonical I and Io/beta (pre-sized by the caller).
   void gather_intensity(std::vector<double>& I) const;

@@ -1,24 +1,17 @@
 #include "multi_gpu_solver.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <functional>
 #include <span>
 #include <stdexcept>
 
+#include "cost_model.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/trace.hpp"
 
 namespace finch::bte {
-
-namespace {
-using Clock = std::chrono::steady_clock;
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-}  // namespace
 
 MultiGpuSolver::MultiGpuSolver(const BteScenario& scenario, std::shared_ptr<const BtePhysics> physics,
                                int num_devices, rt::GpuSpec spec)
@@ -103,6 +96,20 @@ void MultiGpuSolver::step() {
   double comm = 0;
   dev_seconds_.assign(slices_.size(), 0.0);
 
+  // Every device's interior kernel body and CPU boundary cells run first,
+  // concurrently: the swept slice does not depend on the launch bookkeeping
+  // below, which owns every fault consultation. With resilience armed, the
+  // block ledger of the swept host truth is refreshed alongside.
+  for_each_rank(slices_.size(), [this](size_t p) {
+    BandSlices::Slice& r = slices_[p];
+    upwind_sweep(scen_, *phys_, r.b_lo, r.b_hi, interior_cells_, std::identity{}, r.I, r.Io,
+                 r.beta, r.I_new);
+    upwind_sweep(scen_, *phys_, r.b_lo, r.b_hi, boundary_cells_, std::identity{}, r.I, r.Io,
+                 r.beta, r.I_new);
+    r.I.swap(r.I_new);
+    if (resilient_) refresh_ledger(p);
+  });
+
   for (size_t p = 0; p < slices_.size(); ++p) {
     BandSlices::Slice& r = slices_[p];
     rt::SimGpu& gpu = *devices_[p];
@@ -110,33 +117,26 @@ void MultiGpuSolver::step() {
     const double dev_before = gpu.stream_clock(0);
     const double copy_before = gpu.counters().copy_seconds;
 
-    // Interior kernel on the device (really executes on the band slice).
+    // Interior kernel on the device; its body ran above on the band slice.
     rt::KernelStats ks;
     ks.threads = static_cast<int64_t>(interior_cells_.size()) * nd_ * bl;
     ks.flops_per_thread = 40;  // per-DOF update + 4-face upwind flux
     ks.fma_fraction = 0.3;
     ks.dram_bytes_per_thread = 18;
     ks.divergence = 0.05;
-    launch_with_retry(gpu, "bte_interior", ks, [&] {
-      upwind_sweep(scen_, *phys_, r.b_lo, r.b_hi, interior_cells_, std::identity{}, r.I, r.Io,
-                   r.beta, r.I_new);
-    });
+    launch_with_retry(gpu, "bte_interior", ks);
     const double kernel_seconds = gpu.stream_clock(0) - dev_before;
 
     // Boundary cells on the CPU (the user-callback side of Fig. 6).
-    const auto t0 = Clock::now();
-    upwind_sweep(scen_, *phys_, r.b_lo, r.b_hi, boundary_cells_, std::identity{}, r.I, r.Io,
-                 r.beta, r.I_new);
-    const double cpu_boundary = seconds_since(t0);
-
-    r.I.swap(r.I_new);
+    const double cpu_boundary =
+        cost::sweep_seconds(static_cast<int64_t>(boundary_cells_.size()) * nd_ * bl);
 
     // Refresh the device mirror with the interior results (what the real
     // kernel would have produced in place), then D2H the band slice for the
     // CPU post-step — the movement plan's per-step download. With the SDC
-    // defense armed, the round trip additionally maintains the ABFT block
-    // ledger, adopts the (possibly silently decayed) device copy, and heals
-    // any corrupted block before the temperature update can consume it.
+    // defense armed, the round trip additionally adopts the (possibly
+    // silently decayed) device copy and heals any corrupted block before the
+    // temperature update can consume it.
     if (sdc_armed())
       sdc_roundtrip(p);
     else
@@ -181,11 +181,16 @@ void MultiGpuSolver::step() {
   charge_phase(&Phases::speculation, "speculation", spec_charge);
   charge_phase(&Phases::communication, "communication", comm);
 
-  // Gather band sums, temperature update on the CPU (replicated).
-  const auto t0 = Clock::now();
-  for (const BandSlices::Slice& r : slices_) slices_.sum_into(r, G_global_);
-  slices_.update_temperature(G_global_, T_);
-  charge_phase(&Phases::temperature, "temperature", seconds_since(t0));
+  // Gather band sums, temperature update on the CPU (replicated), over cell
+  // chunks.
+  const size_t ncell = T_.size();
+  for_each_chunk(ncell, [this](size_t begin, size_t end) {
+    for (const BandSlices::Slice& r : slices_) slices_.sum_into(r, G_global_, begin, end);
+    slices_.update_temperature(G_global_, T_, begin, end);
+  });
+  const auto cells = static_cast<int64_t>(ncell);
+  charge_phase(&Phases::temperature, "temperature",
+               cost::temperature_seconds(cells, cells * nb_, cells * nb_ * nd_));
 
   // H2D: refreshed Io/beta go back to each device — the movement plan's
   // per-step upload.
@@ -210,11 +215,10 @@ void MultiGpuSolver::upload_moments(size_t p) {
 // ---- resilience --------------------------------------------------------------
 
 void MultiGpuSolver::launch_with_retry(rt::SimGpu& gpu, const std::string& name,
-                                       const rt::KernelStats& ks,
-                                       const std::function<void()>& body) {
+                                       const rt::KernelStats& ks) {
   for (int attempt = 0;; ++attempt) {
     try {
-      gpu.launch(name, ks, body);
+      gpu.launch(name, ks, {});
       return;
     } catch (const rt::TransientFault&) {
       rstats_.faults_detected += 1;
@@ -226,17 +230,34 @@ void MultiGpuSolver::launch_with_retry(rt::SimGpu& gpu, const std::string& name,
   }
 }
 
+// The block ledger over slice p's swept intensities (blocks = cell ranges x
+// the slice's bands): the SDC audit's reference and the transfer guard's. As
+// a signature of I as it stands, it proves I finite until the SDC round trip
+// replaces I with the device copy.
+void MultiGpuSolver::refresh_ledger(size_t p) {
+  const BandSlices::Slice& r = slices_[p];
+  Mirror& m = mirrors_[p];
+  const size_t stride = static_cast<size_t>(r.bands()) * static_cast<size_t>(nd_);
+  const size_t block = static_cast<size_t>(std::max(1, res_.sdc.block_cells)) * stride;
+  if (m.ledger.size() != r.I.size() || m.ledger.block_size() != block)
+    m.ledger = rt::BlockLedger(r.I.size(), block);
+  m.ledger.update(r.I);
+  m.proves_finite = true;
+}
+
+// The round trip without the SDC defense. Armed, it checks the downloaded
+// copy against the ledger of the host truth (refreshed before the upload)
+// and re-drives a corrupted transfer with backoff.
 void MultiGpuSolver::roundtrip_with_guard(size_t p) {
   const BandSlices::Slice& r = slices_[p];
-  rt::DeviceBuffer& dev_I = mirrors_[p].dev_I;
+  Mirror& m = mirrors_[p];
   rt::SimGpu& gpu = *devices_[p];
   host_back_.resize(r.I.size());
-  const rt::BlockChecksum want = resilient_ ? rt::block_checksum(r.I) : rt::BlockChecksum{};
   for (int attempt = 0;; ++attempt) {
-    gpu.memcpy_h2d(dev_I, r.I);
-    gpu.memcpy_d2h(host_back_, dev_I);
+    gpu.memcpy_h2d(m.dev_I, r.I);
+    gpu.memcpy_d2h(host_back_, m.dev_I);
     if (!resilient_) return;
-    if (rt::block_checksum(host_back_).matches(want)) return;
+    if (m.ledger.verify(host_back_).empty()) return;
     // Corrupted transfer: the band slice on the device (or the downloaded
     // copy) does not match the host truth. Re-drive the round trip.
     rstats_.faults_detected += 1;
@@ -253,7 +274,7 @@ void MultiGpuSolver::roundtrip_with_guard(size_t p) {
 // ---- silent-data-corruption defense ------------------------------------------
 
 // SDC variant of the per-step round trip. Sequence, per rank:
-//   1. refresh the ABFT block ledger from the swept host truth,
+//   1. the ABFT block ledger of the swept host truth (refreshed by step()),
 //   2. upload; let the device storage decay (possible injected silent flip),
 //   3. download and *adopt* the device copy — the device is authoritative for
 //      its band slice, so a flip there would otherwise reach the answer,
@@ -263,20 +284,14 @@ void MultiGpuSolver::roundtrip_with_guard(size_t p) {
 //   5. run the redundant sentinel-cell audit (cross-checks even the blocks
 //      whose checksums matched).
 // Ledger upkeep + verification + sentinels are charged to the audit phase;
-// block recomputes to recovery.
+// block recomputes to recovery. A slice that leaves this clean matches its
+// ledger bit for bit again, so the ledger's sums still prove it finite.
 void MultiGpuSolver::sdc_roundtrip(size_t p) {
   BandSlices::Slice& r = slices_[p];
   Mirror& m = mirrors_[p];
   rt::SimGpu& gpu = *devices_[p];
-  const size_t stride = static_cast<size_t>(r.bands()) * static_cast<size_t>(nd_);
-
-  auto a0 = Clock::now();
-  if (m.ledger.size() != r.I.size()) {
-    const size_t block = static_cast<size_t>(std::max(1, res_.sdc.block_cells)) * stride;
-    m.ledger = rt::BlockLedger(r.I.size(), block);
-  }
-  m.ledger.update(r.I);
-  double audit_s = seconds_since(a0);
+  const int64_t bytes = static_cast<int64_t>(r.I.size()) * 8;
+  double audit_s = cost::audit_seconds(bytes);  // the ledger refresh
 
   const int64_t flips_before = gpu.counters().silent_flips;
   gpu.memcpy_h2d(m.dev_I, r.I);
@@ -286,34 +301,33 @@ void MultiGpuSolver::sdc_roundtrip(size_t p) {
   r.I.swap(host_back_);
   if (gpu.counters().silent_flips > flips_before && flip_step_ < 0) flip_step_ = step_index_;
 
-  a0 = Clock::now();
-  const std::vector<size_t> bad = m.ledger.verify(r.I);
-  audit_s += seconds_since(a0);
-  for (size_t blk : bad) {
+  audit_s += cost::audit_seconds(bytes);
+  bool clean = true;
+  for (size_t blk : m.ledger.verify(r.I)) {
     note_sdc_detection();
-    const auto r0 = Clock::now();
-    const bool healed = repair_block(p, blk);
-    recover(seconds_since(r0));
-    if (!healed) {
+    if (!repair_block(p, blk)) {
+      clean = false;
       health_.sdc_ok = false;
       health_.detail = "device " + std::to_string(p) + " block " + std::to_string(blk) +
                        " failed twice; falling back to rollback";
     }
   }
 
-  a0 = Clock::now();
-  audit_sentinels(p);
-  audit_s += seconds_since(a0);
+  audit_s += cost::sweep_seconds(static_cast<int64_t>(sentinel_cells().size()) *
+                                 r.bands() * nd_);
+  clean = audit_sentinels(p) && clean;
+  m.proves_finite = clean;
   charge_phase(&Phases::audit, "audit", audit_s);
   rstats_.audit_seconds += audit_s;
 }
 
 // Localized repair: recompute one block's step from the previous state (the
-// shadow that I_new holds after the swap) straight into the live array. The
-// ledger's blocks align to whole cells, so the recompute is the exact
-// computation the sweep performed originally — bit-identical by construction.
-// Returns false when the block still mismatches afterwards (the "same block
-// failed twice" case the caller escalates to checkpoint rollback).
+// shadow that I_new holds after the swap) straight into the live array, and
+// charge the recompute to recovery. The ledger's blocks align to whole cells,
+// so the recompute is the exact computation the sweep performed originally —
+// bit-identical by construction. Returns false when the block still
+// mismatches afterwards (the "same block failed twice" case the caller
+// escalates to checkpoint rollback).
 bool MultiGpuSolver::repair_block(size_t p, size_t block) {
   BandSlices::Slice& r = slices_[p];
   const rt::BlockLedger& ledger = mirrors_[p].ledger;
@@ -334,12 +348,14 @@ bool MultiGpuSolver::repair_block(size_t p, size_t block) {
         rt::FaultKind::BitFlipDeviceArray, "repair");
   const rt::BlockChecksum now = rt::block_checksum(
       std::span<const double>(r.I).subspan(range.begin, range.end - range.begin));
-  if (!now.matches(ledger.checksum(block))) {
+  const bool healed = now.matches(ledger.checksum(block));
+  if (healed)
+    rstats_.block_repairs += 1;
+  else
     rstats_.repair_failures += 1;
-    return false;
-  }
-  rstats_.block_repairs += 1;
-  return true;
+  recover(cost::sweep_seconds(static_cast<int64_t>(repair_cells_.size() * stride)) +
+          cost::audit_seconds(static_cast<int64_t>(range.end - range.begin) * 8));
+  return healed;
 }
 
 // Redundant sentinel cells: a deterministic handful of cells recomputed from
@@ -347,29 +363,29 @@ bool MultiGpuSolver::repair_block(size_t p, size_t block) {
 // the cross-rank redundancy audit of the design (in a real MPI deployment the
 // sentinels of neighbouring ranks ride the halo messages): it catches
 // corruption even on paths the checksums do not cover, bounding detection
-// latency to one step.
-void MultiGpuSolver::audit_sentinels(size_t p) {
-  if (res_.sdc.sentinel_cells <= 0) return;
+// latency to one step. Returns false when a repair failed.
+bool MultiGpuSolver::audit_sentinels(size_t p) {
+  if (res_.sdc.sentinel_cells <= 0) return true;
   BandSlices::Slice& r = slices_[p];
   const size_t stride = static_cast<size_t>(r.bands()) * static_cast<size_t>(nd_);
   const std::vector<int32_t>& sentinels = sentinel_cells();
   sentinel_scratch_.resize(r.I.size());
   upwind_sweep(scen_, *phys_, r.b_lo, r.b_hi, sentinels, std::identity{}, r.I_new, r.Io, r.beta,
                sentinel_scratch_);
+  bool clean = true;
   for (int32_t c : sentinels) {
     rstats_.sentinel_checks += 1;
     const size_t off = static_cast<size_t>(c) * stride;
     if (std::memcmp(&r.I[off], &sentinel_scratch_[off], stride * sizeof(double)) == 0) continue;
     note_sdc_detection();
-    const auto r0 = Clock::now();
-    const bool healed = repair_block(p, mirrors_[p].ledger.block_of(off));
-    recover(seconds_since(r0));
-    if (!healed) {
+    if (!repair_block(p, mirrors_[p].ledger.block_of(off))) {
+      clean = false;
       health_.sdc_ok = false;
       health_.detail = "device " + std::to_string(p) + " sentinel cell " + std::to_string(c) +
                        " repair failed";
     }
   }
+  return clean;
 }
 
 // Energy-balance tripwire: the total intensity energy (the ledgers' Kahan
@@ -391,8 +407,24 @@ void MultiGpuSolver::audit_energy_invariant() {
 void MultiGpuSolver::validate() {
   rstats_.validations += 1;
   if (sdc_armed()) audit_energy_invariant();
-  for (size_t p = 0; p < slices_.size(); ++p) scan_finite(slices_[p].I, static_cast<int>(p), "I");
-  scan_finite(T_, -1, "T");
+  // With resilience armed, a slice whose I matches its ledger (the guarded
+  // round trip leaves the host truth untouched; the SDC round trip adopts the
+  // device copy only after verifying it) is proven finite by the ledger's
+  // Kahan block sums: a NaN or Inf element makes its block's sum non-finite
+  // for good, as the cell solver's energy pass proves its owned cells. Every
+  // other slice is scanned in full.
+  const auto proven = [this](size_t p) {
+    const Mirror& m = mirrors_[p];
+    if (!m.proves_finite || m.ledger.size() != slices_[p].I.size()) return false;
+    for (size_t b = 0; b < m.ledger.num_blocks(); ++b)
+      if (!std::isfinite(m.ledger.checksum(b).sum)) return false;
+    return true;
+  };
+  std::vector<FieldScan> scans;
+  for (size_t p = 0; p < slices_.size(); ++p)
+    if (!proven(p)) scans.push_back({slices_[p].I, 0, static_cast<int>(p), "I"});
+  scans.push_back({T_, 0, -1, "T"});
+  scan_finite(scans);
 }
 
 void MultiGpuSolver::scatter(const std::vector<double>& I, const std::vector<double>& T,
@@ -401,6 +433,7 @@ void MultiGpuSolver::scatter(const std::vector<double>& I, const std::vector<dou
   slices_.scatter(I, Io, beta);
   // Device mirrors must match the restored host truth before replay.
   for (size_t p = 0; p < slices_.size(); ++p) {
+    mirrors_[p].proves_finite = false;
     devices_[p]->memcpy_h2d(mirrors_[p].dev_I, slices_[p].I);
     upload_moments(p);
   }

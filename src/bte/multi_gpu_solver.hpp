@@ -13,7 +13,8 @@
 // slices use the same BandSlices layout as BandPartitionedSolver, and every
 // sweep — interior kernel, CPU boundary cells, SDC sentinels and block
 // repair — is the one kernel upwind_sweep with the identity cell map over
-// that cell subset.
+// that cell subset. The devices sweep concurrently; every launch, transfer
+// and fault consultation then runs on the calling thread in device order.
 //
 // Numerics are bit-identical to the serial DirectSolver (tested); what the
 // simulated devices add is faithful accounting: per-device kernel launches,
@@ -21,7 +22,6 @@
 // breakdown the paper plots.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -60,7 +60,7 @@ class MultiGpuSolver : public DistributedSolver {
   // Modeled per-step phase seconds (max over devices, as a BSP step).
   struct Phases {
     double intensity = 0;      // max(kernel, cpu boundary) per step, summed
-    double temperature = 0;    // CPU post-step (measured)
+    double temperature = 0;    // CPU post-step (modeled, cost_model.hpp)
     double communication = 0;  // PCIe transfers (modeled)
     double recovery = 0;       // backoff + retransmit + restore (modeled)
     double redistribution = 0; // shard re-upload after a device eviction
@@ -94,6 +94,8 @@ class MultiGpuSolver : public DistributedSolver {
     rt::DeviceBuffer dev_Iob;  // device mirror of Io+beta
     // ABFT block ledger over I (blocks = cell ranges x this rank's bands).
     rt::BlockLedger ledger;
+    // I matches `ledger` bit for bit (see refresh_ledger).
+    bool proves_finite = false;
   };
 
   // Fresh devices at `num_devices` with the equal band split.
@@ -129,12 +131,14 @@ class MultiGpuSolver : public DistributedSolver {
 
   double copy_seconds_total() const;
   void upload_moments(size_t p);
-  void launch_with_retry(rt::SimGpu& gpu, const std::string& name, const rt::KernelStats& ks,
-                         const std::function<void()>& body);
+  // Launch bookkeeping (modeled time, fault consultations, retries) of a
+  // kernel whose body step() already ran.
+  void launch_with_retry(rt::SimGpu& gpu, const std::string& name, const rt::KernelStats& ks);
+  void refresh_ledger(size_t p);
   void roundtrip_with_guard(size_t p);
   void sdc_roundtrip(size_t p);
   bool repair_block(size_t p, size_t block);
-  void audit_sentinels(size_t p);
+  bool audit_sentinels(size_t p);
   void audit_energy_invariant();
   void rehome_device_mirrors();
   // The single gateway for phase accounting: adds `seconds` to phases_.*field,

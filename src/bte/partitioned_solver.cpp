@@ -1,7 +1,6 @@
 #include "partitioned_solver.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -9,18 +8,10 @@
 #include <span>
 #include <stdexcept>
 
+#include "cost_model.hpp"
 #include "runtime/trace.hpp"
 
 namespace finch::bte {
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-}  // namespace
 
 // ---- BspSolver ---------------------------------------------------------------
 
@@ -103,10 +94,9 @@ bool BspSolver::deliver(rt::FaultInjector& fi, const char* site, const char* wha
   return true;
 }
 
-void BspSolver::charge_audit_since(Clock::time_point t0) {
-  const double audit = seconds_since(t0);
-  bsp_.charge_audit(audit);
-  rstats_.audit_seconds += audit;
+void BspSolver::charge_audit(double seconds) {
+  bsp_.charge_audit(seconds);
+  rstats_.audit_seconds += seconds;
 }
 
 // ---- CellPartitionedSolver ---------------------------------------------------
@@ -120,7 +110,6 @@ CellPartitionedSolver::CellPartitionedSolver(const BteScenario& scenario,
       method_(method) {
   if (nparts < 1) throw std::invalid_argument("CellPartitionedSolver: nparts >= 1");
   dofs_ = nd_ * nb_;
-  g_scratch_.resize(static_cast<size_t>(nb_));
   rebuild(nparts);
 }
 
@@ -210,7 +199,6 @@ void CellPartitionedSolver::exchange_halos() {
         // the wire; the receiver verifies on receipt. The ghost cells of one
         // recv are contiguous local indices (appended in recv order by
         // rebuild), so the delivered message is one span of r.I.
-        const auto t0 = Clock::now();
         const size_t base =
             static_cast<size_t>(r.global_to_local[static_cast<size_t>(recv.cells[0])]) *
             static_cast<size_t>(dofs_);
@@ -219,7 +207,10 @@ void CellPartitionedSolver::exchange_halos() {
         const rt::BlockChecksum sidecar = rt::block_checksum(ghost);
         if (fi != nullptr && fi->should_fault(rt::FaultKind::BitFlipMessage, "halo"))
           fi->flip_bit(ghost, rt::FaultKind::BitFlipMessage, "halo");
+        // Sidecar plus verification on receipt; a repair verifies once more.
+        int64_t folded = 2 * static_cast<int64_t>(len) * 8;
         if (!rt::block_checksum(ghost).matches(sidecar)) {
+          folded += static_cast<int64_t>(len) * 8;
           note_sdc_detection();
           // Localized repair: re-pull just this message from the peer's
           // (intact) owned values, priced as one extra message.
@@ -237,7 +228,7 @@ void CellPartitionedSolver::exchange_halos() {
             health_.detail = "halo message checksum failed twice; falling back to rollback";
           }
         }
-        charge_audit_since(t0);
+        charge_audit(cost::audit_seconds(folded));
       }
       if (fi != nullptr && !recv.cells.empty() &&
           fi->should_fault(rt::FaultKind::TransferCorruption, "halo")) {
@@ -256,11 +247,12 @@ void CellPartitionedSolver::exchange_halos() {
 }
 
 void CellPartitionedSolver::temperature_rank(Rank& r) {
+  r.g.resize(static_cast<size_t>(nb_));
   for (size_t lo = 0; lo < r.owned.size(); ++lo) {
     for (int b = 0; b < nb_; ++b)
-      g_scratch_[static_cast<size_t>(b)] =
+      r.g[static_cast<size_t>(b)] =
           BandSlices::band_sum(*phys_, r.I, lo * static_cast<size_t>(nb_) + static_cast<size_t>(b));
-    const double Tc = phys_->table.solve_temperature(g_scratch_, r.T[lo]);
+    const double Tc = phys_->table.solve_temperature(r.g, r.T[lo]);
     r.T[lo] = Tc;
     for (int b = 0; b < nb_; ++b) {
       r.Io[lo * static_cast<size_t>(nb_) + static_cast<size_t>(b)] = phys_->table.I0(b, Tc);
@@ -279,26 +271,29 @@ void CellPartitionedSolver::step() {
   std::vector<double> rank_seconds(static_cast<size_t>(nparts_));
   {
     rt::TraceSpan sweep_span("cell.sweep", attrs);
-    for (size_t p = 0; p < ranks_.size(); ++p) {
+    for_each_rank(ranks_.size(), [this](size_t p) {
       Rank& r = ranks_[p];
-      const auto t0 = Clock::now();
       upwind_sweep(scen_, *phys_, 0, nb_, r.owned, r.local(), r.I, r.Io, r.beta, r.I_new);
-      rank_seconds[p] = seconds_since(t0);
-    }
+    });
   }
+  for (size_t p = 0; p < ranks_.size(); ++p)
+    rank_seconds[p] = cost::sweep_seconds(static_cast<int64_t>(ranks_[p].owned.size()) * dofs_);
   arm_speculation_if_chronic();
   bsp_.compute_step(rank_seconds, rt::BspSimulator::Phase::Compute);
   if (sdc_armed()) audit_sentinels();
-  // Commit owned values, the leading [owned * dofs] of I; ghosts refresh at
-  // the next exchange.
-  for (Rank& r : ranks_) std::copy(r.I_new.begin(), r.I_new.end(), r.I.begin());
   {
     rt::TraceSpan temp_span("cell.temperature", attrs);
-    for (size_t p = 0; p < ranks_.size(); ++p) {
-      const auto t0 = Clock::now();
-      temperature_rank(ranks_[p]);
-      rank_seconds[p] = seconds_since(t0);
-    }
+    for_each_rank(ranks_.size(), [this](size_t p) {
+      // Commit owned values, the leading [owned * dofs] of I; ghosts refresh
+      // at the next exchange.
+      Rank& r = ranks_[p];
+      std::copy(r.I_new.begin(), r.I_new.end(), r.I.begin());
+      temperature_rank(r);
+    });
+  }
+  for (size_t p = 0; p < ranks_.size(); ++p) {
+    const auto owned = static_cast<int64_t>(ranks_[p].owned.size());
+    rank_seconds[p] = cost::temperature_seconds(owned, owned * nb_, owned * dofs_);
   }
   bsp_.compute_step(rank_seconds, rt::BspSimulator::Phase::PostProcess);
 }
@@ -319,7 +314,7 @@ int64_t CellPartitionedSolver::shrink_scratch() {
 // I_new before the commit, catching corruption that lands in freshly computed
 // state — an audit channel independent of the message checksums.
 void CellPartitionedSolver::audit_sentinels() {
-  const auto t0 = Clock::now();
+  int64_t recomputed = 0;
   const std::vector<int32_t>& sentinels = sentinel_cells();
   for (Rank& r : ranks_) {
     sentinel_subset_.clear();
@@ -331,6 +326,7 @@ void CellPartitionedSolver::audit_sentinels() {
     sentinel_scratch_.resize(r.I_new.size());
     upwind_sweep(scen_, *phys_, 0, nb_, sentinel_subset_, r.local(), r.I, r.Io, r.beta,
                  sentinel_scratch_);
+    recomputed += static_cast<int64_t>(sentinel_subset_.size()) * dofs_;
     for (int32_t gc : sentinel_subset_) {
       rstats_.sentinel_checks += 1;
       const size_t off = static_cast<size_t>(r.global_to_local[static_cast<size_t>(gc)]) *
@@ -345,33 +341,37 @@ void CellPartitionedSolver::audit_sentinels() {
       }
     }
   }
-  charge_audit_since(t0);
+  charge_audit(cost::sweep_seconds(recomputed));
 }
 
 void CellPartitionedSolver::validate() {
   rstats_.validations += 1;
-  // With SDC armed, the energy pass doubles as the owned cells' finiteness
-  // scan: a NaN or Inf element makes a Kahan sum non-finite for good, so a
-  // finite energy proves every owned value finite and only the ghosts are
-  // left to scan. Otherwise (or on a non-finite energy) the full scans run,
-  // and they name the offending entry.
-  bool owned_finite = false;
+  // With SDC armed, each rank's energy pass doubles as its owned cells'
+  // finiteness scan: a NaN or Inf element makes a Kahan sum non-finite for
+  // good, so a finite energy proves every owned value finite and only the
+  // ghosts are left to scan. Otherwise (or on a non-finite energy) the full
+  // scans run, and they name the offending entry.
+  std::vector<double> energy(ranks_.size(), std::nan(""));
   if (sdc_armed()) {
+    for_each_rank(ranks_.size(), [&](size_t p) {
+      rt::KahanSum e;
+      const size_t owned_len = ranks_[p].owned.size() * static_cast<size_t>(dofs_);
+      for (size_t i = 0; i < owned_len; ++i) e.add(ranks_[p].I[i]);
+      energy[p] = e.sum;
+    });
     rt::KahanSum e;
-    for (const Rank& r : ranks_) {
-      const size_t owned_len = r.owned.size() * static_cast<size_t>(dofs_);
-      for (size_t i = 0; i < owned_len; ++i) e.add(r.I[i]);
-    }
+    for (double ep : energy) e.add(ep);
     check_energy_drift(e.sum);
-    owned_finite = std::isfinite(e.sum);
   }
+  std::vector<FieldScan> scans;
   for (size_t p = 0; p < ranks_.size(); ++p) {
-    const std::vector<double>& I = ranks_[p].I;
-    const size_t owned_len = ranks_[p].owned.size() * static_cast<size_t>(dofs_);
-    if (!owned_finite || !rt::all_finite(std::span<const double>(I).subspan(owned_len)))
-      scan_finite(I, static_cast<int>(p), "I");
-    scan_finite(ranks_[p].T, static_cast<int>(p), "T");
+    const Rank& r = ranks_[p];
+    const int rank = static_cast<int>(p);
+    const size_t skip = std::isfinite(energy[p]) ? r.owned.size() * static_cast<size_t>(dofs_) : 0;
+    scans.push_back({std::span<const double>(r.I).subspan(skip), skip, rank, "I"});
+    scans.push_back({r.T, 0, rank, "T"});
   }
+  scan_finite(scans);
 }
 
 void CellPartitionedSolver::gather_moments(std::vector<double>& Io,
@@ -474,28 +474,32 @@ void BandPartitionedSolver::relayout_away(int32_t victim) {
   bsp_.straggler().resize(nparts_);
 }
 
-void BandPartitionedSolver::gather_rank(size_t p) {
+void BandPartitionedSolver::pack_rank(size_t p) {
   // One rank's contribution to the allgather of per-cell band sums (the only
   // cross-rank coupling): pack the slice into a contiguous payload — what a
-  // real MPI_Allgatherv would put on the wire — then scatter into G_global_.
+  // real MPI_Allgatherv would put on the wire.
   const BandSlices::Slice& r = slices_[p];
   Wire& w = wire_[p];
   const size_t bl = static_cast<size_t>(r.bands());
-  std::vector<double>& payload = w.payload;
-  payload.resize(cells_.size() * bl);
-  slices_.reduce(r, 0, payload.size(), payload);
-
-  const bool sdc = sdc_armed();
-  if (sdc) {
+  w.payload.resize(cells_.size() * bl);
+  slices_.reduce(r, 0, w.payload.size(), w.payload);
+  if (sdc_armed()) {
     // Checksum the contribution before it goes on the wire; blocks align to
     // whole cells (cell-major payload) so a bad block maps to a cell range.
-    const auto t0 = Clock::now();
     const size_t block = static_cast<size_t>(std::max(1, res_.sdc.block_cells)) * bl;
-    if (w.gledger.size() != payload.size() || w.gledger.block_size() != block)
-      w.gledger = rt::BlockLedger(payload.size(), block);
-    w.gledger.update(payload);
-    charge_audit_since(t0);
+    if (w.gledger.size() != w.payload.size() || w.gledger.block_size() != block)
+      w.gledger = rt::BlockLedger(w.payload.size(), block);
+    w.gledger.update(w.payload);
   }
+}
+
+void BandPartitionedSolver::deliver_rank(size_t p) {
+  const BandSlices::Slice& r = slices_[p];
+  Wire& w = wire_[p];
+  std::vector<double>& payload = w.payload;
+  const auto payload_bytes = static_cast<int64_t>(payload.size()) * 8;
+  const bool sdc = sdc_armed();
+  if (sdc) charge_audit(cost::audit_seconds(payload_bytes));  // pack_rank's ledger update
 
   rt::FaultInjector* fi = resilient_ ? res_.injector : nullptr;
   if (fi != nullptr) {
@@ -513,11 +517,13 @@ void BandPartitionedSolver::gather_rank(size_t p) {
     // block is re-reduced from the slice (the reduction's intact inputs, with
     // the same weights in the same order, so the repair is bit-identical to
     // an uncorrupted pack) instead of rolling the whole run back.
-    const auto t0 = Clock::now();
+    double audit = cost::audit_seconds(payload_bytes);
     for (size_t blk : w.gledger.verify(payload)) {
       note_sdc_detection();
       const auto range = w.gledger.range(blk);
       slices_.reduce(r, range.begin, range.end, payload);
+      const auto len = static_cast<int64_t>(range.end - range.begin);
+      audit += cost::band_sum_seconds(len * nd_) + cost::audit_seconds(len * 8);
       if (fi != nullptr && fi->should_fault(rt::FaultKind::BitFlipReduction, "gather-repair"))
         fi->flip_bit(std::span<double>(payload).subspan(range.begin, range.end - range.begin),
                      rt::FaultKind::BitFlipReduction, "gather-repair");
@@ -532,7 +538,7 @@ void BandPartitionedSolver::gather_rank(size_t p) {
                          " checksum failed twice; falling back to rollback";
       }
     }
-    charge_audit_since(t0);
+    charge_audit(audit);
   }
 
   slices_.scatter_sums(r, payload, G_global_);
@@ -547,32 +553,38 @@ void BandPartitionedSolver::step() {
   std::vector<double> rank_seconds(static_cast<size_t>(nparts_));
   {
     rt::TraceSpan sweep_span("band.sweep", attrs);
-    for (size_t p = 0; p < slices_.size(); ++p) {
+    for_each_rank(slices_.size(), [this](size_t p) {
       BandSlices::Slice& r = slices_[p];
-      const auto t0 = Clock::now();
       upwind_sweep(scen_, *phys_, r.b_lo, r.b_hi, cells_, std::identity{}, r.I, r.Io, r.beta,
                    r.I_new);
       r.I.swap(r.I_new);
-      rank_seconds[p] = seconds_since(t0);
-    }
+    });
   }
+  for (size_t p = 0; p < slices_.size(); ++p)
+    rank_seconds[p] = cost::sweep_seconds(static_cast<int64_t>(cells_.size()) *
+                                          slices_[p].bands() * nd_);
   arm_speculation_if_chronic();
   bsp_.compute_step(rank_seconds, rt::BspSimulator::Phase::Compute);
 
   {
     rt::TraceSpan gather_span("band.gather", attrs);
-    for (size_t p = 0; p < slices_.size(); ++p) gather_rank(p);
+    for_each_rank(slices_.size(), [this](size_t p) { pack_rank(p); });
+    for (size_t p = 0; p < slices_.size(); ++p) deliver_rank(p);
   }
   comm_.total_bytes += comm_.bytes_per_step;
   bsp_.gather(comm_.bytes_per_step / (nparts_ > 0 ? nparts_ : 1));
   if (sdc_armed()) audit_sentinels();
 
   // Every rank solves the (replicated) temperature and refreshes its own
-  // bands' Io/beta — executed once here since the result is identical.
+  // bands' Io/beta — executed once here, over cell chunks, since the result
+  // is identical.
   rt::TraceSpan temp_span("band.temperature", attrs);
-  const auto t0 = Clock::now();
-  slices_.update_temperature(G_global_, T_);
-  bsp_.uniform_compute(seconds_since(t0), rt::BspSimulator::Phase::PostProcess);
+  for_each_chunk(cells_.size(), [this](size_t begin, size_t end) {
+    slices_.update_temperature(G_global_, T_, begin, end);
+  });
+  const auto ncell = static_cast<int64_t>(cells_.size());
+  bsp_.uniform_compute(cost::temperature_seconds(ncell, ncell * nb_, 0),
+                       rt::BspSimulator::Phase::PostProcess);
 }
 
 // Only rebuildable scratch: the gather payload buffers are resized before
@@ -594,9 +606,10 @@ int64_t BandPartitionedSolver::shrink_scratch() {
 // bit-for-bit against G_global_ before the temperature solve — this audits
 // the scatter as well as the wire, independently of the per-rank ledgers.
 void BandPartitionedSolver::audit_sentinels() {
-  const auto t0 = Clock::now();
+  int64_t reduced = 0;
   for (int32_t c : sentinel_cells()) {
     rstats_.sentinel_checks += 1;
+    reduced += static_cast<int64_t>(nb_) * nd_;
     for (const BandSlices::Slice& r : slices_) {
       const size_t bl = static_cast<size_t>(r.bands());
       for (int b = r.b_lo; b < r.b_hi; ++b) {
@@ -612,7 +625,7 @@ void BandPartitionedSolver::audit_sentinels() {
       }
     }
   }
-  charge_audit_since(t0);
+  charge_audit(cost::band_sum_seconds(reduced));
 }
 
 void BandPartitionedSolver::validate() {
@@ -623,11 +636,14 @@ void BandPartitionedSolver::validate() {
     for (double g : G_global_) e.add(g);
     check_energy_drift(e.sum);
   }
-  for (size_t p = 0; p < slices_.size(); ++p) scan_finite(slices_[p].I, static_cast<int>(p), "I");
+  std::vector<FieldScan> scans;
+  for (size_t p = 0; p < slices_.size(); ++p)
+    scans.push_back({slices_[p].I, 0, static_cast<int>(p), "I"});
   // solve_temperature's bisection fallback returns a finite T even for NaN
   // band sums, so the gathered sums must be scanned directly.
-  scan_finite(G_global_, -1, "G");
-  scan_finite(T_, -1, "T");
+  scans.push_back({G_global_, 0, -1, "G"});
+  scans.push_back({T_, 0, -1, "T"});
+  scan_finite(scans);
 }
 
 void BandPartitionedSolver::scatter(const std::vector<double>& I, const std::vector<double>& T,

@@ -23,9 +23,10 @@
 // owned + ghost storage (the band slice bl = nb), a band rank uses the
 // identity over every cell. Both produce fields bit-identical to the serial
 // DirectSolver — tested — and report the bytes they moved, which the perf
-// models' figures price.
+// models' figures price. Their ranks sweep, commit and update temperatures
+// concurrently (DistributedSolver::for_each_rank); exchanges, reductions and
+// every fault consultation stay on the calling thread.
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -65,7 +66,8 @@ class BspSolver : public DistributedSolver {
 
   int nparts() const { return nparts_; }
   const CommVolume& comm() const { return comm_; }
-  // Virtual-time phase breakdown (measured compute, modeled communication).
+  // Virtual-time phase breakdown (modeled compute, see cost_model.hpp, and
+  // modeled communication).
   const rt::PhaseTimes& phases() const { return bsp_.phases(); }
   // Total virtual seconds on the BSP clock; equals phases().total() exactly.
   double virtual_elapsed() const override { return bsp_.elapsed(); }
@@ -94,8 +96,8 @@ class BspSolver : public DistributedSolver {
   // (charged as fault stall). Returns false, with the step marked unhealthy,
   // when the retry budget is spent.
   bool deliver(rt::FaultInjector& fi, const char* site, const char* what);
-  // Charges wall seconds measured since `t0` to the audit phase.
-  void charge_audit_since(std::chrono::steady_clock::time_point t0);
+  // Charges modeled ABFT seconds to the audit phase and tallies them.
+  void charge_audit(double seconds);
 
   rt::BspSimulator bsp_;
   CommVolume comm_;
@@ -120,6 +122,7 @@ class CellPartitionedSolver : public BspSolver {
     std::vector<double> I, I_new;          // [(owned+ghost) * dofs]
     std::vector<double> Io, beta;          // [owned * nbands]
     std::vector<double> T;                 // [owned]
+    std::vector<double> g;                 // temperature scratch: one cell's band sums
     mesh::HaloPlan halo;
     // The sweep's cell → local-index map: a rank is the band slice bl = nb
     // over its owned + ghost cells.
@@ -151,7 +154,6 @@ class CellPartitionedSolver : public BspSolver {
   std::vector<int32_t> part_;
   int dofs_;
   std::vector<Rank> ranks_;
-  std::vector<double> g_scratch_;
   std::vector<rt::Message> halo_messages_;
 
   // ---- SDC defense scratch ----
@@ -196,7 +198,13 @@ class BandPartitionedSolver : public BspSolver {
                const std::vector<double>& Io, const std::vector<double>& beta) override;
   int64_t shrink_scratch() override;
 
-  void gather_rank(size_t p);
+  // The allgather of per-cell band sums in two halves: pack_rank reduces
+  // rank p's slice into its payload and refreshes the payload's ledger (no
+  // fault consultation, so ranks pack concurrently); deliver_rank puts the
+  // payload on the wire, verifies and repairs it, and scatters it into
+  // G_global_ (on the calling thread, in rank order).
+  void pack_rank(size_t p);
+  void deliver_rank(size_t p);
   void audit_sentinels();
 
   std::vector<int32_t> cells_;  // every global cell id: the sweep's cell list

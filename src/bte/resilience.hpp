@@ -325,9 +325,10 @@ inline void validate_resilience_options(const ResilienceOptions& opt) {
 //     for each read attempt (<= max_retries):
 //       ride out an injected hang (bounded: the heartbeat suspicion timeout
 //         when the fail-slow defense is armed, the raw hang timeout otherwise),
-//       read a fresh copy of the image, apply any injected in-flight flip,
-//       deserialize — the image checksums catch torn/flipped bytes — and
-//       return on success; on CheckpointError charge a backoff and re-read.
+//       read the image (in place; an injected in-flight flip lands on a
+//       private copy, so the store's bytes stay intact), deserialize — the
+//       image checksums catch torn/flipped bytes — and return on success; on
+//       CheckpointError charge a backoff and re-read.
 //     every read of this generation corrupted -> fall back one generation
 //     (older step, more replay, still bit-exact).
 //
@@ -348,10 +349,16 @@ rt::Snapshot load_checkpoint_guarded(const rt::CheckpointStore& store,
         charge_stall(opt.straggler.enabled ? opt.heartbeat.suspicion_timeout()
                                            : opt.injector->hang_seconds());
       }
-      std::vector<std::byte> image = store.image_copy(gen);
+      std::vector<std::byte> scratch;
+      std::span<const std::byte> image = store.image(gen, scratch);
       if (opt.injector != nullptr && !image.empty() &&
-          opt.injector->should_fault(rt::FaultKind::BitFlipMessage, "ckpt-restore"))
-        opt.injector->flip_raw_bit(image, rt::FaultKind::BitFlipMessage, "ckpt-restore");
+          opt.injector->should_fault(rt::FaultKind::BitFlipMessage, "ckpt-restore")) {
+        // A generation read from disk already sits in scratch; one held in
+        // memory is copied there first.
+        if (image.data() != scratch.data()) scratch.assign(image.begin(), image.end());
+        opt.injector->flip_raw_bit(scratch, rt::FaultKind::BitFlipMessage, "ckpt-restore");
+        image = scratch;
+      }
       try {
         return rt::deserialize(image);
       } catch (const rt::CheckpointError& err) {

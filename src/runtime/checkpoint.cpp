@@ -314,21 +314,32 @@ Snapshot CheckpointStore::load_latest() const {
   return load(0);
 }
 
-Snapshot CheckpointStore::load(int generation) const { return deserialize(image_copy(generation)); }
+Snapshot CheckpointStore::load(int generation) const {
+  std::vector<std::byte> scratch;
+  return deserialize(image(generation, scratch));
+}
 
 int CheckpointStore::generations() const {
   const int mem = (image_.empty() ? 0 : 1) + (prev_image_.empty() ? 0 : 1);
   return std::max(mem, static_cast<int>(disk_paths_.size()));
 }
 
-std::vector<std::byte> CheckpointStore::image_copy(int generation) const {
+std::span<const std::byte> CheckpointStore::image(int generation,
+                                                  std::vector<std::byte>& scratch) const {
   if (generation < 0 || generation >= generations())
     throw CheckpointError("no checkpoint generation " + std::to_string(generation) + " (have " +
                           std::to_string(generations()) + ")");
   if (generation == 0 && !image_.empty()) return image_;
   if (generation == 1 && !prev_image_.empty()) return prev_image_;
   // Spilled / dropped from memory: the disk file still backs the generation.
-  return read_bytes_file(disk_paths_[static_cast<size_t>(generation)]);
+  scratch = read_bytes_file(disk_paths_[static_cast<size_t>(generation)]);
+  return scratch;
+}
+
+std::vector<std::byte> CheckpointStore::image_copy(int generation) const {
+  std::vector<std::byte> scratch;
+  const std::span<const std::byte> bytes = image(generation, scratch);
+  return {bytes.begin(), bytes.end()};
 }
 
 int CheckpointStore::adopt_disk_paths(const std::vector<std::string>& paths) {

@@ -130,10 +130,15 @@ class CheckpointStore {
   // files extend the same numbering, and memory is only a cache: a
   // generation dropped by the resource-relief path is re-read from its file.
   int generations() const;
-  // Deserializes generation `g` (0 = newest).
+  // Deserializes generation `g` (0 = newest), parsing the stored bytes in
+  // place.
   Snapshot load(int generation) const;
-  // Copy of generation `g`'s raw image: callers model in-flight corruption on
-  // the copy (FaultInjector::flip_raw_bit) without poisoning the store.
+  // Generation `g`'s raw image: the stored bytes themselves when memory holds
+  // them, otherwise the generation's file read into `scratch`, which the
+  // returned span then views. Throws CheckpointError for a missing
+  // generation.
+  std::span<const std::byte> image(int generation, std::vector<std::byte>& scratch) const;
+  // Copy of generation `g`'s raw image.
   std::vector<std::byte> image_copy(int generation) const;
 
   // ---- durable mode (runtime/manifest.hpp, rt::MemoryBudget relief) --------

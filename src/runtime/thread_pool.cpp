@@ -1,22 +1,52 @@
 #include "thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
+
+#if __has_include(<pthread.h>)
+#include <pthread.h>
+#define FINCH_HAVE_ATFORK 1
+#endif
 
 namespace finch::rt {
 
-ThreadPool::ThreadPool(unsigned num_threads) {
-  if (num_threads == 0) num_threads = 1;
-  workers_.reserve(num_threads);
-  for (unsigned i = 0; i < num_threads; ++i) workers_.emplace_back([this] { worker_loop(); });
+ThreadPool& ThreadPool::shared() {
+  static ThreadPool* pool = [] {
+    auto* p = new ThreadPool(std::max(2u, std::thread::hardware_concurrency()) - 1);
+#ifdef FINCH_HAVE_ATFORK
+    // Only the forking thread survives a fork(), so a pool forked with live
+    // workers would leave the child a pool of ghosts (and ThreadSanitizer
+    // refuses to start threads after a multi-threaded fork). Quiesce first.
+    pthread_atfork([] { shared().stop_workers(); }, [] { shared().start_workers(); }, nullptr);
+#endif
+    return p;
+  }();
+  return *pool;
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::ThreadPool(unsigned num_threads) : num_threads_(std::max(1u, num_threads)) {
+  start_workers();
+}
+
+ThreadPool::~ThreadPool() { stop_workers(); }
+
+void ThreadPool::start_workers() {
+  workers_.reserve(num_threads_);
+  for (unsigned i = 0; i < num_threads_; ++i) workers_.emplace_back([this] { worker_loop(); });
+}
+
+// Joins every worker. A job in flight still completes: its caller runs the
+// chunks no worker claimed.
+void ThreadPool::stop_workers() {
   {
     std::lock_guard<std::mutex> lk(mutex_);
     stopping_ = true;
   }
   cv_work_.notify_all();
   for (auto& w : workers_) w.join();
+  workers_.clear();
+  std::lock_guard<std::mutex> lk(mutex_);
+  stopping_ = false;
 }
 
 void ThreadPool::parallel_for(int64_t begin, int64_t end, const std::function<void(int64_t)>& fn,
@@ -27,6 +57,18 @@ void ThreadPool::parallel_for(int64_t begin, int64_t end, const std::function<vo
         for (int64_t i = b; i < e; ++i) fn(i);
       },
       grain);
+}
+
+bool ThreadPool::try_parallel_for_chunks(int64_t begin, int64_t end,
+                                         const std::function<void(int64_t, int64_t)>& fn,
+                                         int64_t grain) {
+  if (busy_.exchange(true, std::memory_order_acquire)) return false;
+  struct Release {
+    std::atomic<bool>& flag;
+    ~Release() { flag.store(false, std::memory_order_release); }
+  } release{busy_};
+  parallel_for_chunks(begin, end, fn, grain);
+  return true;
 }
 
 void ThreadPool::parallel_for_chunks(int64_t begin, int64_t end,

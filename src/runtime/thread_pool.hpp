@@ -1,8 +1,9 @@
 #pragma once
 // Work-sharing thread pool with a blocking parallel_for, used by the CPU
-// multithreaded code-generation target. Kernels executed through the pool are
-// bit-identical to serial execution (each index is processed exactly once);
-// only the interleaving differs.
+// multithreaded code-generation target and, through ThreadPool::shared(), by
+// the distributed solvers' concurrent ranks. Kernels executed through the pool
+// are bit-identical to serial execution (each index is processed exactly
+// once); only the interleaving differs.
 
 #include <atomic>
 #include <condition_variable>
@@ -21,7 +22,15 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  unsigned size() const { return static_cast<unsigned>(workers_.size()); }
+  // The process-wide pool: hardware_concurrency() - 1 workers, the calling
+  // thread being the last lane. Created on first use and never destroyed.
+  // Its workers are joined just before a fork() and restarted in the parent
+  // after it, so the process forks single-threaded and the child runs every
+  // job on its calling thread.
+  static ThreadPool& shared();
+
+  // Worker threads configured (a job runs on them plus its caller).
+  unsigned size() const { return num_threads_; }
 
   // Blocks until fn has been applied to every i in [begin, end).
   // Indices are handed out in contiguous grain-sized chunks.
@@ -31,6 +40,13 @@ class ThreadPool {
   // Chunked variant: fn receives [chunk_begin, chunk_end) ranges.
   void parallel_for_chunks(int64_t begin, int64_t end,
                            const std::function<void(int64_t, int64_t)>& fn, int64_t grain = 256);
+
+  // parallel_for_chunks when the pool is free. Returns false, having run
+  // nothing, when another caller holds it (or the caller is itself inside a
+  // pool job); the caller then runs the range on its own thread.
+  bool try_parallel_for_chunks(int64_t begin, int64_t end,
+                               const std::function<void(int64_t, int64_t)>& fn,
+                               int64_t grain = 1);
 
  private:
   struct Job {
@@ -42,8 +58,12 @@ class ThreadPool {
 
   void worker_loop();
   void run_chunks(const Job& job);
+  void start_workers();
+  void stop_workers();
 
+  unsigned num_threads_;
   std::vector<std::thread> workers_;
+  std::atomic<bool> busy_{false};  // a try_parallel_for_chunks caller owns the pool
   std::mutex mutex_;
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;

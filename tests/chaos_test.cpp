@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -307,6 +308,48 @@ TEST(GuardedRestore, FallsBackAGenerationWhenEveryReadOfTheNewestImageIsCorrupt)
   // replay is longer — and the answer still lands bit-exact.
   EXPECT_GE(part.resilience_stats().replayed_steps, 5);
   EXPECT_TRUE(bitwise_equal(part.gather_temperature(), fault_free_cell_reference()));
+}
+
+TEST(GuardedRestore, ParsesInPlaceAndFlipsOnlyAPrivateCopy) {
+  // Restores parse the stored image in place; an injected in-flight flip
+  // lands on a private copy. The flipped reads are rejected, the restore
+  // falls back a generation bit-exactly, and the store's own bytes (in
+  // memory, and read back from disk after a spill) stay intact.
+  const std::string dir = ::testing::TempDir() + "guarded_restore_in_place";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  rt::CheckpointStore store(dir, 2);
+  rt::Snapshot older, newer;
+  older.step = 4;
+  older.add("I", std::vector<double>{1.0, 2.0, 3.0});
+  newer.step = 8;
+  newer.add("I", std::vector<double>{4.0, 5.0, 6.0});
+  store.save(older);
+  store.save(newer);
+  const std::vector<std::byte> newest = rt::serialize(newer);
+  ResilienceOptions opt;
+  opt.max_retries = 2;
+  for (const bool spilled : {false, true}) {
+    if (spilled) {
+      ASSERT_GT(store.spill(), 0);
+    }
+    rt::FaultInjector inj(3);
+    for (int k = 0; k <= opt.max_retries; ++k)
+      inj.schedule_fault(rt::FaultKind::BitFlipMessage, "ckpt-restore", k);
+    opt.injector = &inj;
+    ResilienceStats stats;
+    const rt::Snapshot got = load_checkpoint_guarded(store, opt, stats, [](double) {});
+    EXPECT_EQ(got.step, 4) << "spilled=" << spilled;
+    EXPECT_EQ(got.field("I"), older.field("I")) << "spilled=" << spilled;
+    EXPECT_EQ(stats.ckpt_restore_retries, opt.max_retries + 1);
+    EXPECT_EQ(stats.ckpt_generation_fallbacks, 1);
+    EXPECT_EQ(store.image_copy(0), newest) << "spilled=" << spilled;
+    EXPECT_EQ(store.load(0).field("I"), newer.field("I"));
+    // A clean read restores the newest generation.
+    opt.injector = nullptr;
+    EXPECT_EQ(load_checkpoint_guarded(store, opt, stats, [](double) {}).step, 8);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(GuardedRestore, RidesOutAHangInsideTheRestore) {

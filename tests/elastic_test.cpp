@@ -303,9 +303,8 @@ TEST(ElasticRecovery, InjectedRankFailuresPickVictimsDeterministically) {
     EXPECT_EQ(part.nparts(), 2);
     expect_bitwise_equal(serial.intensity(), part.gather_intensity());
     expect_bitwise_equal(serial.temperature(), part.gather_temperature());
-    // Compute phases are *measured* (non-deterministic wall time); the
-    // recovery/redistribution bill is fully modeled, so it is the
-    // reproducibility witness for the victim sequence.
+    // The recovery/redistribution bill depends on the victim sequence, so
+    // it is the reproducibility witness for it.
     return part.phases().recovery + part.phases().redistribution;
   };
   EXPECT_DOUBLE_EQ(run_once(31), run_once(31));

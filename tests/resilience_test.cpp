@@ -537,6 +537,43 @@ TEST(Resilience, MultiGpuRetriesLaunchFailuresAndMatches) {
   expect_bitwise_equal(serial.temperature(), multi.temperature());
 }
 
+TEST(Resilience, MultiGpuTransferGuardRetriesThenFailsTheStep) {
+  // Resilience armed, SDC off: the round trip is guarded by the slice's
+  // block ledger. A transfer corrupted on every upload is re-driven
+  // max_retries times, then fails the step with the device named (the last
+  // device to fail, as both do here).
+  BteScenario s = scen();
+  rt::FaultInjector inj(5);
+  rt::FaultPolicy every;
+  every.every = 1;
+  inj.set_site_policy(rt::FaultKind::TransferCorruption, "h2d", every);
+
+  MultiGpuSolver multi(s, phys(), 2);
+  ResilienceOptions opt;
+  opt.injector = &inj;
+  opt.max_retries = 2;
+  opt.max_rollbacks = 0;
+  multi.enable_resilience(opt);
+  EXPECT_THROW(
+      {
+        try {
+          multi.run(1);
+        } catch (const ResilienceError& e) {
+          EXPECT_STREQ(e.what(),
+                       "rollback budget exhausted: device 1 round-trip checksum mismatch");
+          throw;
+        }
+      },
+      ResilienceError);
+  // Three round trips per device (the first try plus two retries), each
+  // detected, then the unhealthy step itself.
+  EXPECT_EQ(multi.resilience_stats().retries, 4);
+  EXPECT_EQ(multi.resilience_stats().faults_detected, 7);
+  // Six corrupted round-trip uploads, plus each device's Io/beta upload.
+  EXPECT_EQ(inj.stats().injected[static_cast<int>(rt::FaultKind::TransferCorruption)], 8);
+  EXPECT_FALSE(multi.last_health().transfer_ok);
+}
+
 TEST(Resilience, MultiGpuTransferCorruptionRollsBackAndMatches) {
   BteScenario s = scen();
   DirectSolver serial(s, phys());

@@ -668,3 +668,54 @@ TEST(SdcInvariants, SdcOffMatchesPlainGuardedRun) {
   EXPECT_EQ(b.phases().audit, 0.0);
   expect_bitwise_equal(a.temperature(), b.temperature());
 }
+
+TEST(SdcMultiGpu, ValidationProvesSlicesFiniteFromTheLedgerAndStillNamesANaN) {
+  // With resilience armed (SDC audit or the plain transfer guard), validate()
+  // takes a slice's finiteness from its ledger's Kahan block sums instead of
+  // rescanning it. A NaN that reaches a slice through the sweep makes its
+  // block's sum non-finite, so the full scan still runs and names the
+  // element exactly as before.
+  const BteScenario s = scen();
+  const size_t cell = 27, band = 4, dir = 3;
+  const int nd = phys()->num_dirs(), nb = phys()->num_bands();
+  MultiGpuSolver probe(s, phys(), 2);
+  rt::Snapshot poisoned = probe.snapshot();
+  std::vector<double>& I0 = poisoned.fields[0].second;
+  I0[cell * static_cast<size_t>(nd * nb) + dir + static_cast<size_t>(nd) * band] = std::nan("");
+
+  // Where the NaN lands after one step: a plain (unarmed) step over the
+  // same state, read back in the slice layout of the band's owner.
+  MultiGpuSolver plain(s, phys(), 2);
+  plain.restore(poisoned);
+  plain.step();
+  const std::vector<double> I1 = plain.gather_intensity();
+  const int owner = static_cast<int>(band) >= nb / 2 ? 1 : 0;
+  const int b_lo = owner == 0 ? 0 : nb / 2, bl = owner == 0 ? nb / 2 : nb - nb / 2;
+  size_t first = static_cast<size_t>(-1);
+  for (size_t c = 0; c * static_cast<size_t>(nd * nb) < I1.size() && first == size_t(-1); ++c)
+    for (int lb = 0; lb < bl && first == size_t(-1); ++lb)
+      for (int d = 0; d < nd; ++d)
+        if (!std::isfinite(I1[c * static_cast<size_t>(nd * nb) + d + nd * (b_lo + lb)])) {
+          first = (c * static_cast<size_t>(bl) + static_cast<size_t>(lb)) * nd + d;
+          break;
+        }
+  ASSERT_NE(first, static_cast<size_t>(-1));
+
+  for (const bool sdc : {true, false}) {
+    MultiGpuSolver multi(s, phys(), 2);
+    ResilienceOptions opt;
+    opt.sdc.enabled = sdc;
+    opt.max_rollbacks = 0;  // the first unhealthy step surfaces its detail
+    multi.restore(poisoned);
+    multi.enable_resilience(opt);
+    try {
+      multi.run(1);
+      ADD_FAILURE() << "the NaN went unreported (sdc " << sdc << ")";
+    } catch (const ResilienceError& e) {
+      const std::string want =
+          "rank " + std::to_string(owner) + " I[" + std::to_string(first) + "] non-finite";
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos) << e.what();
+    }
+    EXPECT_FALSE(multi.last_health().finite_ok) << "sdc " << sdc;
+  }
+}

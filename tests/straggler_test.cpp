@@ -553,10 +553,8 @@ TEST(StragglerSolver, FaultFreeDefenseChargesNothing) {
   CellPartitionedSolver part(s, phys, 4);
   ResilienceOptions opt;
   opt.straggler = armed_straggler();
-  // Compute telemetry is measured wall time, so OS jitter under a loaded test
-  // host can legitimately look like a straggler. The invariant under test is
-  // that an armed-but-idle defense charges nothing, so put the trip point out
-  // of reach of scheduler noise.
+  // The invariant under test is that an armed-but-idle defense charges
+  // nothing, so the trip point sits far out of reach.
   opt.straggler.slow_ratio = 1e6;
   opt.straggler.clip_ratio = 2e6;
   part.enable_resilience(opt);
