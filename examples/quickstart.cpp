@@ -19,7 +19,7 @@ using namespace finch;
 
 int main() {
   dsl::Problem p("quickstart");
-  p.domain(2).solver_type(dsl::SolverType::FV).time_stepper(dsl::TimeScheme::ForwardEuler);
+  p.domain(2).time_stepper(dsl::TimeScheme::ForwardEuler);
   p.set_steps(/*dt=*/0.001, /*nsteps=*/200);
   p.set_mesh(mesh::Mesh::structured_quad(32, 32, 1.0, 1.0));
 

@@ -7,24 +7,12 @@ namespace finch::bte {
 
 fvm::BoundaryCallback make_isothermal_wall(std::shared_ptr<const BtePhysics> physics, double T_wall) {
   return [physics, T_wall](const fvm::BoundaryContext& ctx) {
-    const mesh::Vec3& s = physics->directions.s[static_cast<size_t>(ctx.dir)];
-    const double sdotn = s.dot(ctx.normal);
-    const double vg = physics->bands[ctx.band].vg;
-    if (sdotn > 0) return vg * sdotn * ctx.fields->get("I").at(ctx.cell, ctx.dof);
-    return vg * sdotn * physics->table.I0(ctx.band, T_wall);
+    return isothermal_flux(*physics, ctx, T_wall);
   };
 }
 
 fvm::BoundaryCallback make_specular_wall(std::shared_ptr<const BtePhysics> physics) {
-  return [physics](const fvm::BoundaryContext& ctx) {
-    const mesh::Vec3& s = physics->directions.s[static_cast<size_t>(ctx.dir)];
-    const double sdotn = s.dot(ctx.normal);
-    const double vg = physics->bands[ctx.band].vg;
-    const auto& I = ctx.fields->get("I");
-    if (sdotn > 0) return vg * sdotn * I.at(ctx.cell, ctx.dof);
-    const int r = physics->directions.reflect(ctx.dir, ctx.normal);
-    return vg * sdotn * I.at(ctx.cell, r + physics->num_dirs() * ctx.band);
-  };
+  return [physics](const fvm::BoundaryContext& ctx) { return symmetric_flux(*physics, ctx); };
 }
 
 fvm::BoundaryCallback make_diffuse_wall(std::shared_ptr<const BtePhysics> physics, double specularity) {
@@ -39,8 +27,7 @@ fvm::BoundaryCallback make_diffuse_wall(std::shared_ptr<const BtePhysics> physic
     if (sdotn > 0) return vg * sdotn * I.at(ctx.cell, ctx.dof);
 
     // Specular part.
-    const int r = dirs.reflect(ctx.dir, ctx.normal);
-    const double I_spec = I.at(ctx.cell, r + physics->num_dirs() * ctx.band);
+    const double I_spec = reflected_intensity(*physics, ctx, I);
 
     // Diffuse part: isotropic re-emission balancing the outgoing band flux,
     //   I_diff = sum_{s.n>0} w (s.n) I / sum_{s.n>0} w (s.n).

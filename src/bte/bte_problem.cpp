@@ -3,6 +3,8 @@
 #include <cmath>
 #include <fstream>
 
+#include "boundary_models.hpp"
+
 namespace finch::bte {
 
 namespace {
@@ -26,28 +28,6 @@ void set_equilibrium_initials(dsl::Problem& p, const BtePhysics& ph, double T0) 
     return beta_init[static_cast<size_t>(idx[0])];
   });
   p.initial("T", [T0](int32_t, std::span<const int32_t>) { return T0; });
-}
-
-// Physical outward flux integrand f = vg (s.n) I_face with the face value
-// upwinded: outgoing directions take the cell value, incoming take the
-// ghost (wall-equilibrium or reflected) value — Eq. (6).
-double isothermal_flux(const BtePhysics& phys, const fvm::BoundaryContext& ctx, double T_wall) {
-  const mesh::Vec3& s = phys.directions.s[static_cast<size_t>(ctx.dir)];
-  const double sdotn = s.dot(ctx.normal);
-  const double vg = phys.bands[ctx.band].vg;
-  if (sdotn > 0) return vg * sdotn * ctx.fields->get("I").at(ctx.cell, ctx.dof);
-  return vg * sdotn * phys.table.I0(ctx.band, T_wall);
-}
-
-double symmetric_flux(const BtePhysics& phys, const fvm::BoundaryContext& ctx) {
-  const mesh::Vec3& s = phys.directions.s[static_cast<size_t>(ctx.dir)];
-  const double sdotn = s.dot(ctx.normal);
-  const double vg = phys.bands[ctx.band].vg;
-  const auto& I = ctx.fields->get("I");
-  if (sdotn > 0) return vg * sdotn * I.at(ctx.cell, ctx.dof);
-  const int r = phys.directions.reflect(ctx.dir, ctx.normal);
-  const int32_t rdof = r + phys.num_dirs() * ctx.band;
-  return vg * sdotn * I.at(ctx.cell, rdof);
 }
 
 // Post-step temperature update (CPU): per cell, solve T from the
@@ -167,7 +147,7 @@ void BteProblem::build() {
 
   problem_ = std::make_unique<dsl::Problem>("bte2d");
   dsl::Problem& p = *problem_;
-  p.domain(2).solver_type(dsl::SolverType::FV).time_stepper(dsl::TimeScheme::ForwardEuler);
+  p.domain(2).time_stepper(dsl::TimeScheme::ForwardEuler);
   p.set_steps(scenario_.dt, scenario_.nsteps);
   p.set_mesh(mesh::Mesh::structured_quad(scenario_.nx, scenario_.ny, scenario_.lx, scenario_.ly));
   if (!scenario_.backend.empty())
@@ -259,7 +239,7 @@ void BteProblem3d::build() {
 
   problem_ = std::make_unique<dsl::Problem>("bte3d");
   dsl::Problem& p = *problem_;
-  p.domain(3).solver_type(dsl::SolverType::FV).time_stepper(dsl::TimeScheme::ForwardEuler);
+  p.domain(3).time_stepper(dsl::TimeScheme::ForwardEuler);
   p.set_steps(scenario_.dt, scenario_.nsteps);
   p.set_mesh(mesh::Mesh::structured_hex(scenario_.nx, scenario_.ny, scenario_.nz, scenario_.lx,
                                         scenario_.ly, scenario_.lz));

@@ -44,11 +44,6 @@ Problem& Problem::domain(int dim) {
   return *this;
 }
 
-Problem& Problem::solver_type(SolverType t) {
-  solver_type_ = t;
-  return *this;
-}
-
 Problem& Problem::time_stepper(TimeScheme s) {
   scheme_ = s;
   return *this;

@@ -4,7 +4,7 @@
 // Mirrors the paper's input script (§III.B / Appendix) as a C++ fluent API:
 //
 //   Problem p("bte-gpu");
-//   p.domain(2).solver_type(SolverType::FV).time_stepper(TimeScheme::ForwardEuler);
+//   p.domain(2).time_stepper(TimeScheme::ForwardEuler);
 //   p.set_steps(1e-12, 10000);
 //   p.set_mesh(mesh::Mesh::structured_quad(120, 120, 525e-6, 525e-6));
 //   auto d = p.index("d", 1, ndirs);     auto b = p.index("b", 1, nbands);
@@ -37,7 +37,6 @@
 
 namespace finch::dsl {
 
-enum class SolverType { FV };
 enum class Target { CpuSerial, CpuThreads, Gpu };
 
 // Kernel execution backend for the CPU targets (CODEGEN.md §6):
@@ -109,7 +108,6 @@ class Problem {
 
   // ---- configuration -------------------------------------------------------
   Problem& domain(int dim);
-  Problem& solver_type(SolverType t);
   Problem& time_stepper(TimeScheme s);
   Problem& set_steps(double dt, int nsteps);
   Problem& set_mesh(mesh::Mesh m);
@@ -217,7 +215,6 @@ class Problem {
 
   std::string name_;
   int dim_ = 2;
-  SolverType solver_type_ = SolverType::FV;
   TimeScheme scheme_ = TimeScheme::ForwardEuler;
   double dt_ = 1e-12;
   int nsteps_ = 1;

@@ -64,7 +64,6 @@ class Mesh {
     return fc.owner == cell ? fc.normal : fc.normal * -1.0;
   }
 
-  int num_boundary_regions() const { return static_cast<int>(region_names_.size()); }
   const std::string& region_name(int region) const { return region_names_[region - 1]; }
 
   // Cells adjacent to at least one boundary face.

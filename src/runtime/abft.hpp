@@ -71,8 +71,6 @@ struct BlockChecksum {
     ++count;
   }
 
-  uint64_t fletcher() const { return (hi << 32) | lo; }
-
   bool matches(const BlockChecksum& other) const {
     if (lo != other.lo || hi != other.hi || count != other.count) return false;
     uint64_t a, b;

@@ -211,10 +211,9 @@ size_t FaultInjector::flip_raw_bit(std::span<std::byte> data, FaultKind kind,
 }
 
 double FaultInjector::jitter_factor(std::string_view site) const {
-  if (jitter_max_ <= 1.0) return 1.0;
   const uint64_t bits = draw(FaultKind::JitterKernel, site,
                              static_cast<int64_t>(events_.size()), 0x717eULL);
-  return 1.0 + (jitter_max_ - 1.0) * to_unit(bits);
+  return 1.0 + (kJitterMax - 1.0) * to_unit(bits);
 }
 
 size_t FaultInjector::pick(FaultKind kind, std::string_view site, size_t n) const {

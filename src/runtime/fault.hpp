@@ -213,26 +213,26 @@ class FaultInjector {
   size_t pick(FaultKind kind, std::string_view site, size_t n) const;
 
   // Extra virtual seconds a StuckRank fault adds on top of a step that would
-  // have cost `base_seconds`.
-  double stall_seconds(double base_seconds) const { return stall_factor_ * base_seconds; }
-  void set_stall_factor(double factor) { stall_factor_ = factor; }
+  // have cost `base_seconds`: kStallFactor times that step.
+  static constexpr double kStallFactor = 10.0;
+  double stall_seconds(double base_seconds) const { return kStallFactor * base_seconds; }
 
   // Multiplicative slowdown a SlowRank victim applies to all of its compute —
-  // the fail-slow analogue of stall_factor (thermal throttling, a failing DIMM
+  // the fail-slow analogue of kStallFactor (thermal throttling, a failing DIMM
   // retrying ECC, a neighbor hammering shared cache).
   double slow_factor() const { return slow_factor_; }
   void set_slow_factor(double factor) { slow_factor_ = factor; }
 
   // Random per-fire slowdown for JitterKernel: a factor drawn deterministically
-  // in [1, jitter_max], keyed like every other draw.
+  // in [1, kJitterMax], keyed like every other draw.
+  static constexpr double kJitterMax = 3.0;
   double jitter_factor(std::string_view site) const;
-  void set_jitter_max(double factor) { jitter_max_ = factor; }
 
   // Virtual seconds an *unwatched* HangExchange stalls the superstep — the
   // stall clears only when this (huge, relative to a step) timeout elapses.
   // The exchange watchdog exists to replace this with bounded deadlines.
-  double hang_seconds() const { return hang_seconds_; }
-  void set_hang_seconds(double seconds) { hang_seconds_ = seconds; }
+  static constexpr double kHangSeconds = 10e-3;
+  double hang_seconds() const { return kHangSeconds; }
 
   const FaultStats& stats() const { return stats_; }
   const std::vector<FaultEvent>& events() const { return events_; }
@@ -254,10 +254,7 @@ class FaultInjector {
   uint64_t draw(FaultKind kind, std::string_view site, int64_t index, uint64_t salt) const;
 
   uint64_t seed_ = 0;
-  double stall_factor_ = 10.0;
   double slow_factor_ = 4.0;
-  double jitter_max_ = 3.0;
-  double hang_seconds_ = 10e-3;
   std::array<FaultPolicy, kNumFaultKinds> global_{};
   std::array<bool, kNumFaultKinds> has_global_{};
   std::map<std::pair<int, std::string>, FaultPolicy, std::less<>> site_policies_;

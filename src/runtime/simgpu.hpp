@@ -146,7 +146,6 @@ class SimGpu {
   // Optional fault injection: launches may throw TransientFault and copies may
   // corrupt their destination, per the injector's policies. Null disables.
   void set_fault_injector(FaultInjector* injector) { faults_ = injector; }
-  FaultInjector* fault_injector() const { return faults_; }
 
   // Optional memory accounting: with a budget attached, allocations reserve
   // against it, resource faults (AllocFailure / MemoryPressure) consult the
@@ -154,7 +153,6 @@ class SimGpu {
   // before the fatal path — only a reservation that still does not fit after
   // every relief throws TransientFault(AllocFailure). Null disables.
   void set_memory_budget(MemoryBudget* budget) { budget_ = budget; }
-  MemoryBudget* memory_budget() const { return budget_; }
 
   DeviceBuffer allocate(size_t doubles, std::string_view site = "alloc");
 

@@ -142,7 +142,6 @@ void BspSimulator::exchange(std::span<const Message> messages) {
       cost[static_cast<size_t>(m.src)] += penalty;
       cost[static_cast<size_t>(m.dst)] += penalty;
       fault_cost += penalty;
-      dropped_messages_ += 1;
       dropped_here += 1;
     }
   }
@@ -160,7 +159,6 @@ void BspSimulator::exchange(std::span<const Message> messages) {
     const double stall = faults_->stall_seconds(step);
     step += stall;
     fault_cost += stall;
-    stuck_events_ += 1;
   }
   if (faults_ != nullptr) {
     const double stall = hang_penalty(step);

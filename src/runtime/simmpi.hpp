@@ -111,8 +111,6 @@ class BspSimulator {
   // Optional fault injection for exchanges: dropped messages pay a timeout
   // plus a retransmit, a stuck rank stretches the superstep. Null disables.
   void set_fault_injector(FaultInjector* injector) { faults_ = injector; }
-  int64_t dropped_messages() const { return dropped_messages_; }
-  int64_t stuck_events() const { return stuck_events_; }
 
   // ---- permanent failures (elastic shrink-to-survivors) --------------------
   //
@@ -144,7 +142,6 @@ class BspSimulator {
   // instead of waiting out an injected hang. Off (the default) the simulator
   // behaves exactly as before and charges nothing to the new phases.
   void set_straggler(StragglerOptions opt);
-  const StragglerOptions& straggler_options() const { return stragopt_; }
   StragglerDetector& straggler() { return detector_; }
   const StragglerDetector& straggler() const { return detector_; }
 
@@ -222,8 +219,6 @@ class BspSimulator {
   HeartbeatModel heartbeat_;
   double clock_ = 0.0;
   PhaseTimes phases_;
-  int64_t dropped_messages_ = 0;
-  int64_t stuck_events_ = 0;
   int64_t silent_flips_ = 0;
   int32_t evictions_ = 0;
   // Straggler defense state.

@@ -1,56 +1,16 @@
-// Coverage for the remaining public surfaces: the fvm stepper helpers, DSL
-// custom-operator registration end to end, SimMpi gather, and parameterized
-// conservation sweeps across grid shapes and velocity fields.
+// Coverage for the remaining public surfaces: DSL custom-operator
+// registration end to end, SimMpi gather, and parameterized conservation
+// sweeps across grid shapes and velocity fields.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "bte/bte_problem.hpp"
 #include "core/dsl/problem.hpp"
-#include "fvm/stepper.hpp"
 #include "mesh/mesh.hpp"
 #include "runtime/simmpi.hpp"
 
 using namespace finch;
-
-// ---- fvm stepper helpers -----------------------------------------------------
-
-TEST(FvmStepper, ForwardEulerMatchesClosedForm) {
-  std::vector<double> u = {1.0, 2.0};
-  std::vector<double> scratch;
-  auto rhs = [](std::span<const double> s, std::span<double> out) {
-    for (size_t i = 0; i < s.size(); ++i) out[i] = -2.0 * s[i];
-  };
-  fvm::step_forward_euler(u, 0.1, rhs, scratch);
-  EXPECT_DOUBLE_EQ(u[0], 1.0 * (1 - 0.2));
-  EXPECT_DOUBLE_EQ(u[1], 2.0 * (1 - 0.2));
-}
-
-TEST(FvmStepper, Rk2MatchesMidpointFormula) {
-  std::vector<double> u = {1.0};
-  std::vector<double> k1, mid;
-  auto rhs = [](std::span<const double> s, std::span<double> out) {
-    for (size_t i = 0; i < s.size(); ++i) out[i] = -s[i];
-  };
-  fvm::step_rk2_midpoint(u, 0.2, rhs, k1, mid);
-  // u1 = u0 (1 - dt + dt^2/2)
-  EXPECT_NEAR(u[0], 1.0 - 0.2 + 0.02, 1e-15);
-}
-
-TEST(FvmStepper, Rk2IsSecondOrderOnNonlinearOde) {
-  // du/dt = u^2, u0 = 1, exact u(t) = 1/(1-t).
-  auto rhs = [](std::span<const double> s, std::span<double> out) {
-    for (size_t i = 0; i < s.size(); ++i) out[i] = s[i] * s[i];
-  };
-  auto err_with_steps = [&](int n) {
-    std::vector<double> u = {1.0};
-    std::vector<double> k1, mid;
-    const double dt = 0.5 / n;
-    for (int i = 0; i < n; ++i) fvm::step_rk2_midpoint(u, dt, rhs, k1, mid);
-    return std::abs(u[0] - 2.0);
-  };
-  EXPECT_NEAR(err_with_steps(20) / err_with_steps(40), 4.0, 0.5);
-}
 
 // ---- DSL custom operator end to end --------------------------------------------
 

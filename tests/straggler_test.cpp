@@ -78,7 +78,7 @@ TEST(FaultTaxonomy, InjectorPerformanceDrawsAreDeterministic) {
     const double ja = a.jitter_factor("k");
     EXPECT_EQ(ja, b.jitter_factor("k"));
     EXPECT_GE(ja, 1.0);
-    EXPECT_LE(ja, 3.0);  // default jitter_max
+    EXPECT_LE(ja, 3.0);  // FaultInjector::kJitterMax
   }
   EXPECT_EQ(a.slow_factor(), 4.0);
   EXPECT_EQ(a.hang_seconds(), 10e-3);

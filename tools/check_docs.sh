@@ -12,6 +12,9 @@
 #     gray-model scenario (tools/emit_kernel_listing). Run with --fix to
 #     regenerate the block in place. Skipped with a note when the tool binary
 #     is not built; set FINCH_EMIT_TOOL to point at it explicitly.
+#  4. Every header under src/ must be included by some file outside tests/
+#     (src/, bench/, examples/, perfledger/src/, tools/) other than its own
+#     .cpp, so a module that only its own test reaches cannot grow back.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -101,8 +104,30 @@ else
   failures=$((failures + 1))
 fi
 
+# ---- 4. orphan headers --------------------------------------------------------
+# Resolve every quoted #include the way the build does: next to the including
+# file first, then from src/. A module's own .cpp does not count as a user.
+reached=$(mktemp)
+while IFS= read -r file; do
+  dir=$(dirname "$file")
+  stem=${file%.*}
+  sed -n 's/^[[:space:]]*#[[:space:]]*include[[:space:]]*"\([^"]*\)".*/\1/p' "$file" |
+    while IFS= read -r inc; do
+      if [ -e "$dir/$inc" ]; then target="$dir/$inc"; else target="src/$inc"; fi
+      [ "${target%.hpp}" = "$stem" ] || echo "$target"
+    done
+done < <(find src bench examples perfledger/src tools \( -name '*.cpp' -o -name '*.hpp' \) | sort) |
+  sort -u > "$reached"
+while IFS= read -r hpp; do
+  if ! grep -qxF "$hpp" "$reached"; then
+    echo "DOCS-CHECK [!!] orphan header (included by no file outside tests/): $hpp"
+    failures=$((failures + 1))
+  fi
+done < <(find src -name '*.hpp' | sort)
+rm -f "$reached"
+
 if [ "$failures" -ne 0 ]; then
   echo "DOCS-CHECK: $failures failure(s)"
   exit 1
 fi
-echo "DOCS-CHECK [ok] all public headers documented, all Markdown links resolve"
+echo "DOCS-CHECK [ok] all public headers documented and reached, all Markdown links resolve"
