@@ -9,16 +9,24 @@
 // back and replay — is the same for all of them. DistributedSolver runs it
 // once; each strategy supplies only the hooks declared below (one step, the
 // field scan, canonical gather/scatter, rebuild at M parts, the rebalance
-// layout, its virtual clock, scratch relief and fault-telemetry sync).
+// layout, motion pricing, scratch relief and fault-telemetry sync).
+//
+// Every strategy runs on one virtual clock, the rt::BspSimulator bsp_ with
+// one BSP rank per cell rank, band rank or device. It carries the phase
+// ledger, the heartbeat, the straggler detector, speculation and the
+// exchange watchdog, and the driver charges recovery, loss detection and
+// audits to it the same way for all three. Cell and band ranks let the clock
+// consult the fault injector (slow ranks, jitter, dropped or hung
+// exchanges); multi-GPU devices consult it themselves, and their clock never
+// does.
 //
 // Ranks run at once: each strategy fans its per-rank compute (sweeps,
 // commits, temperature updates, ledger upkeep, validation scans) out on a
 // thread pool through for_each_rank / for_each_chunk, while every
 // FaultInjector consultation, every health_ write and every BSP exchange or
-// reduction stays on the calling thread in a fixed order. The virtual clocks
-// charge modeled work (cost_model.hpp), never wall time, so fields, virtual
-// time, fault schedules and ResilienceStats are identical at any thread
-// count.
+// reduction stays on the calling thread in a fixed order. The clock charges
+// modeled work (cost_model.hpp), never wall time, so fields, virtual time,
+// fault schedules and ResilienceStats are identical at any thread count.
 //
 // BandSlices is the band-slice layout shared by the band and multi-GPU
 // strategies, and upwind_sweep the one intensity kernel all three run.
@@ -33,6 +41,7 @@
 
 #include "bte_problem.hpp"
 #include "resilience.hpp"
+#include "runtime/simmpi.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace finch::bte {
@@ -83,9 +92,20 @@ class DistributedSolver {
   // Owner multiplicity of each partitioned unit (cell or band); the eviction
   // invariant tests assert every entry is exactly 1.
   virtual std::vector<int32_t> owner_counts() const = 0;
-  // Virtual seconds on the strategy's clock; equals phase_total() exactly.
-  virtual double virtual_elapsed() const = 0;
-  virtual double phase_total() const = 0;
+  // Ranks or devices in the current topology.
+  int nparts() const { return nparts_; }
+
+  // Virtual seconds on the BSP clock; equals phases().total() up to the order
+  // of summation.
+  double virtual_elapsed() const { return bsp_.elapsed(); }
+  // Virtual-time phase breakdown (modeled compute, see cost_model.hpp, and
+  // modeled communication).
+  const rt::PhaseTimes& phases() const { return bsp_.phases(); }
+  // Routes this solver's virtual-time phase spans to Chrome-trace track
+  // `track` (see OBSERVABILITY.md); `label` names it in the exported file.
+  void set_trace_track(int32_t track, const std::string& label = "") {
+    bsp_.set_trace_track(track, label);
+  }
 
   // Runs the ranks' compute on `pool`; nullptr runs them one after another on
   // the calling thread. The default is rt::ThreadPool::shared(). A pool that
@@ -107,8 +127,9 @@ class DistributedSolver {
   // Which phase a state motion is charged to (see restore_charged).
   enum class Motion { Rollback, Redistribution, Rebalance };
 
+  // `nparts` sizes the clock; the strategy's rebuild() sets nparts_.
   DistributedSolver(const BteScenario& scenario, std::shared_ptr<const BtePhysics> physics,
-                    Sites sites);
+                    int nparts, Sites sites);
 
   // ---- strategy hooks ------------------------------------------------------
   // Scans the distributed fields into health_ (finite_ok, detail).
@@ -125,30 +146,39 @@ class DistributedSolver {
   // New layout that moves load off the chronic straggler `victim`; the
   // driver restores the live state onto it afterwards.
   virtual void relayout_away(int32_t victim) = 0;
-  virtual int32_t chronic_straggler() const = 0;
-  // A hung exchange the watchdog escalated to a Dead verdict (-1: none);
-  // consumes the verdict.
-  virtual int32_t take_hang_suspect() { return -1; }
-  // Installs res_ on the strategy's clock / devices.
-  virtual void arm_strategy() = 0;
-  // Bills `seconds` to the clock's recovery phase (the driver tallies stats).
-  virtual void charge_recovery(double seconds) = 0;
-  // Bills the detection of `victim`'s loss; returns the seconds charged.
-  virtual double charge_loss_detection(int32_t victim) = 0;
+  // Installs res_ on the strategy's fault sites (after the driver armed the
+  // clock's heartbeat and straggler defense). By default the clock itself
+  // consults the injector, as cell and band ranks do.
+  virtual void arm_strategy();
   // restore(snap) plus the motion's cost on the phase `m` names; returns the
-  // seconds charged.
-  virtual double restore_charged(const rt::Snapshot& snap, Motion m) = 0;
+  // seconds charged. By default a rollback is free and a redistribution or
+  // rebalance moves the bytes over the clock's interconnect model.
+  virtual double restore_charged(const rt::Snapshot& snap, Motion m);
   // Frees rebuildable scratch for the memory relief chain; returns bytes.
   virtual int64_t shrink_scratch() = 0;
-  // Mirrors the clock's / devices' performance-fault counters into rstats_.
-  virtual void sync_fault_telemetry() = 0;
+  // Mirrors the performance-fault counters into rstats_; by default the
+  // clock's.
+  virtual void sync_fault_telemetry();
 
   // ---- shared helpers ------------------------------------------------------
   // Charges recovery time and tallies it.
   void recover(double seconds) {
-    charge_recovery(seconds);
+    bsp_.charge(rt::BspSimulator::Phase::Recovery, seconds);
     rstats_.recovery_seconds += seconds;
   }
+  // Charges modeled ABFT seconds to the audit phase and tallies them.
+  void charge_audit(double seconds) {
+    bsp_.charge(rt::BspSimulator::Phase::Audit, seconds);
+    rstats_.audit_seconds += seconds;
+  }
+  // Arms a one-shot speculative duplicate of the chronic straggler's shard on
+  // the least-loaded survivor, just before the compute superstep it covers;
+  // nominal(victim) prices the shard at nominal speed.
+  void arm_speculation_if_chronic(const std::function<double(int32_t)>& nominal);
+  // Retransmits a message dropped at `site` with bounded exponential backoff
+  // (charged as fault stall). Returns false, with the step marked unhealthy,
+  // when the retry budget is spent.
+  bool deliver(rt::FaultInjector& fi, const char* site, const char* what);
   // fn(i) for every i in [0, n): concurrently on the pool when it is set and
   // free, otherwise in order on the calling thread. fn must not consult the
   // injector, write health_ or rstats_, or touch the virtual clock. The
@@ -157,8 +187,8 @@ class DistributedSolver {
   // fn(begin, end) over chunks that tile [0, n), under the same rules.
   void for_each_chunk(size_t n, const std::function<void(size_t, size_t)>& fn);
   void note_sdc_detection();
-  // Energy-balance tripwire: a per-step relative drift of `energy` beyond the
-  // tolerance is recorded, not health-failing (see SdcOptions).
+  // Energy-balance tripwire: a per-step relative drift of `energy` beyond
+  // kEnergyDriftTol is recorded, not health-failing.
   void check_energy_drift(double energy);
   // One NaN/Inf scan of validate(): `values` are elements [offset, ...) of
   // `field` on `rank` (< 0 omits the rank prefix).
@@ -189,6 +219,7 @@ class DistributedSolver {
   rt::CheckpointStore store_;
   int64_t step_index_ = 0;
   int64_t flip_step_ = -1;  // step of the oldest undetected device flip
+  rt::BspSimulator bsp_;
 
  private:
   void arm(const ResilienceOptions& options);

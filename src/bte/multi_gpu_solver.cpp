@@ -8,19 +8,18 @@
 #include <stdexcept>
 
 #include "cost_model.hpp"
-#include "runtime/metrics.hpp"
-#include "runtime/trace.hpp"
 
 namespace finch::bte {
 
 MultiGpuSolver::MultiGpuSolver(const BteScenario& scenario, std::shared_ptr<const BtePhysics> physics,
                                int num_devices, rt::GpuSpec spec)
-    : DistributedSolver(scenario, std::move(physics),
+    : DistributedSolver(scenario, std::move(physics), num_devices,
                         {"mgpu", rt::FaultKind::DeviceLoss, "gpu", "device"}),
       spec_(std::move(spec)),
       slices_(*phys_, scenario.nx * scenario.ny) {
   if (num_devices < 1) throw std::invalid_argument("MultiGpuSolver: num_devices >= 1");
   if (num_devices > nb_) throw std::invalid_argument("MultiGpuSolver: more devices than bands");
+  bsp_.set_trace_track(100);
   const int nx = scen_.nx, ny = scen_.ny;
   T_.assign(static_cast<size_t>(nx * ny), scen_.T_init);
   G_global_.resize(static_cast<size_t>(nx * ny) * nb_);
@@ -53,7 +52,6 @@ void MultiGpuSolver::rebuild(int num_devices) {
   }
   nparts_ = num_devices;
   apply_band_layout(slices_.equal_split(num_devices));
-  detector_.resize(num_devices);
 }
 
 void MultiGpuSolver::apply_band_layout(const BandSlices::Ranges& ranges) {
@@ -70,31 +68,9 @@ void MultiGpuSolver::allocate_mirror(size_t p) {
   gpu.memcpy_h2d(mirrors_[p].dev_I, r.I);
 }
 
-void MultiGpuSolver::set_trace_track(int32_t track, const std::string& label) {
-  trace_track_ = track;
-  if (!label.empty()) rt::Tracer::global().set_track_name(1, track, label);
-}
-
-void MultiGpuSolver::charge_phase(double Phases::*field, const char* name, double seconds) {
-  if (seconds <= 0) return;
-  phases_.*field += seconds;
-  rt::Tracer& tr = rt::Tracer::global();
-  if (tr.enabled()) {
-    rt::SpanAttrs attrs;
-    attrs.step = step_index_;
-    attrs.phase = name;
-    tr.record_complete(name, static_cast<int64_t>(std::llround(trace_cursor_ * 1e9)),
-                       static_cast<int64_t>(std::llround(seconds * 1e9)), trace_track_, attrs);
-  }
-  trace_cursor_ += seconds;
-  rt::MetricsRegistry::global()
-      .counter(std::string("mgpu.phase.") + name + "_seconds")
-      .add(seconds);
-}
-
 void MultiGpuSolver::step() {
   double comm = 0;
-  dev_seconds_.assign(slices_.size(), 0.0);
+  std::vector<double> dev_seconds(slices_.size());
 
   // Every device's interior kernel body and CPU boundary cells run first,
   // concurrently: the swept slice does not depend on the launch bookkeeping
@@ -142,44 +118,16 @@ void MultiGpuSolver::step() {
     else
       roundtrip_with_guard(p);
     comm = std::max(comm, gpu.counters().copy_seconds - copy_before);
-    dev_seconds_[p] = std::max(kernel_seconds, cpu_boundary);
+    dev_seconds[p] = std::max(kernel_seconds, cpu_boundary);
   }
 
-  // Straggler defense: the detector sees the raw (pre-mitigation) per-device
-  // times — feeding it mitigated numbers would mask the straggler and make
-  // the chronic verdict flap. Speculation then duplicates the chronic
-  // straggler's shard on the least-loaded device: whichever copy finishes
-  // first wins (results are bit-identical — both ran the same sweep), so the
-  // step closes at min(victim, helper+shard). The helper's extra busy time is
-  // the speculation charge.
-  double spec_extra = 0.0;
-  const bool strag = resilient_ && res_.straggler.enabled;
-  if (strag) detector_.observe(dev_seconds_);
-  if (strag && res_.straggler.speculation && num_devices() > 1) {
-    const int32_t victim = detector_.chronic_straggler();
-    const int32_t helper = victim >= 0 ? detector_.least_loaded(victim) : -1;
-    if (victim >= 0 && helper >= 0) {
-      const size_t v = static_cast<size_t>(victim), h = static_cast<size_t>(helper);
-      const double helper_total = dev_seconds_[h] + detector_.fleet_median();
-      const double eff_victim = std::min(dev_seconds_[v], helper_total);
-      const double helper_busy = std::min(helper_total, std::max(dev_seconds_[h], eff_victim));
-      spec_extra = helper_busy - dev_seconds_[h];
-      dev_seconds_[v] = eff_victim;
-      dev_seconds_[h] = helper_busy;
-      rstats_.speculations += 1;
-    }
-  }
-  const double max_intensity = *std::max_element(dev_seconds_.begin(), dev_seconds_.end());
-  const double spec_charge = std::min(spec_extra, max_intensity);
-  // Stats mirror the *charged* (capped) speculation time, the same quantity
-  // the phase breakdown carries — charging the uncapped helper overshoot here
-  // made resilience_stats().speculation_seconds drift above
-  // phases().speculation (and hence above the wall-clock reconciliation)
-  // whenever the helper ran past the step it was speculating for.
-  rstats_.speculation_seconds += spec_charge;
-  charge_phase(&Phases::intensity, "intensity", max_intensity - spec_charge);
-  charge_phase(&Phases::speculation, "speculation", spec_charge);
-  charge_phase(&Phases::communication, "communication", comm);
+  // One device superstep on the clock. Its straggler detector sees the raw
+  // per-device times, already stretched by a slow device's hardware; a shard
+  // duplicated for a chronic straggler is priced at the fleet median, the
+  // step of a healthy device.
+  arm_speculation_if_chronic([this](int32_t) { return bsp_.straggler().fleet_median(); });
+  bsp_.compute_step(dev_seconds, rt::BspSimulator::Phase::Compute);
+  bsp_.uniform_compute(comm, rt::BspSimulator::Phase::Communication);
 
   // Gather band sums, temperature update on the CPU (replicated), over cell
   // chunks.
@@ -189,8 +137,8 @@ void MultiGpuSolver::step() {
     slices_.update_temperature(G_global_, T_, begin, end);
   });
   const auto cells = static_cast<int64_t>(ncell);
-  charge_phase(&Phases::temperature, "temperature",
-               cost::temperature_seconds(cells, cells * nb_, cells * nb_ * nd_));
+  bsp_.uniform_compute(cost::temperature_seconds(cells, cells * nb_, cells * nb_ * nd_),
+                       rt::BspSimulator::Phase::PostProcess);
 
   // H2D: refreshed Io/beta go back to each device — the movement plan's
   // per-step upload.
@@ -200,7 +148,7 @@ void MultiGpuSolver::step() {
     upload_moments(p);
     up = std::max(up, devices_[p]->counters().copy_seconds - before);
   }
-  charge_phase(&Phases::communication, "communication", up);
+  bsp_.uniform_compute(up, rt::BspSimulator::Phase::Communication);
 }
 
 void MultiGpuSolver::upload_moments(size_t p) {
@@ -317,8 +265,7 @@ void MultiGpuSolver::sdc_roundtrip(size_t p) {
                                  r.bands() * nd_);
   clean = audit_sentinels(p) && clean;
   m.proves_finite = clean;
-  charge_phase(&Phases::audit, "audit", audit_s);
-  rstats_.audit_seconds += audit_s;
+  charge_audit(audit_s);
 }
 
 // Localized repair: recompute one block's step from the previous state (the
@@ -445,24 +392,15 @@ double MultiGpuSolver::copy_seconds_total() const {
   return s;
 }
 
-void MultiGpuSolver::charge_recovery(double seconds) {
-  charge_phase(&Phases::recovery, "recovery", seconds);
-}
-
-// Survivors notice the loss a suspicion timeout after it happens.
-double MultiGpuSolver::charge_loss_detection(int32_t) {
-  const double timeout = res_.heartbeat.suspicion_timeout();
-  charge_recovery(timeout);
-  return timeout;
-}
-
 double MultiGpuSolver::restore_charged(const rt::Snapshot& snap, Motion m) {
+  using Phase = rt::BspSimulator::Phase;
   const double copy_before = copy_seconds_total();
   restore(snap);
   const double spent = copy_seconds_total() - copy_before;
-  if (m == Motion::Rollback) charge_phase(&Phases::recovery, "recovery", spent);
-  if (m == Motion::Redistribution) charge_phase(&Phases::redistribution, "redistribution", spent);
-  if (m == Motion::Rebalance) charge_phase(&Phases::rebalance, "rebalance", spent);
+  bsp_.charge(m == Motion::Rollback         ? Phase::Recovery
+              : m == Motion::Redistribution ? Phase::Redistribution
+                                            : Phase::Rebalance,
+              spent);
   return spent;
 }
 
@@ -473,8 +411,10 @@ void MultiGpuSolver::inject_slow_device(int32_t device, double factor) {
 }
 
 void MultiGpuSolver::relayout_away(int32_t victim) {
-  apply_band_layout(slices_.weighted_split(num_devices(), victim, detector_.slowdown(victim)));
-  detector_.resize(num_devices());
+  apply_band_layout(
+      slices_.weighted_split(num_devices(), victim, bsp_.straggler().slowdown(victim)));
+  // Old per-device timing history does not describe the new shares.
+  bsp_.straggler().resize(num_devices());
 }
 
 void MultiGpuSolver::arm_strategy() {
@@ -482,7 +422,6 @@ void MultiGpuSolver::arm_strategy() {
     dev->set_fault_injector(res_.injector);
     dev->set_memory_budget(res_.memory);
   }
-  if (res_.straggler.enabled) detector_ = rt::StragglerDetector(num_devices(), res_.straggler);
   rehome_device_mirrors();
 }
 

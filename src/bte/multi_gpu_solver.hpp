@@ -8,8 +8,11 @@
 // A strategy of the one resilient run driver (DistributedSolver,
 // distributed_solver.hpp): this file supplies the device step, the field
 // scan, the band-slice gather/scatter plus device-mirror refresh, the rebuild
-// at M devices, the weighted derate and the phase-ledger clock; run(),
-// checkpoints, eviction and durable resume live in the driver. The band
+// at M devices, the weighted derate and the copy-priced motions; run(),
+// checkpoints, eviction, durable resume and the BSP virtual clock live in the
+// driver. Each device is one rank of that clock: a step charges the device
+// superstep (max over devices of kernel vs CPU boundary time), the PCIe
+// transfers and the CPU temperature update to it. The band
 // slices use the same BandSlices layout as BandPartitionedSolver, and every
 // sweep — interior kernel, CPU boundary cells, SDC sentinels and block
 // repair — is the one kernel upwind_sweep with the identity cell map over
@@ -19,7 +22,8 @@
 // Numerics are bit-identical to the serial DirectSolver (tested); what the
 // simulated devices add is faithful accounting: per-device kernel launches,
 // H2D/D2H byte counters and roofline-modeled times feeding the same phase
-// breakdown the paper plots.
+// breakdown the paper plots (compute = the device sweep, post_process = the
+// CPU temperature update, communication = the PCIe transfers).
 
 #include <cstdint>
 #include <memory>
@@ -57,31 +61,6 @@ class MultiGpuSolver : public DistributedSolver {
   int num_devices() const { return static_cast<int>(devices_.size()); }
   const rt::SimGpu& device(int i) const { return *devices_[static_cast<size_t>(i)]; }
 
-  // Modeled per-step phase seconds (max over devices, as a BSP step).
-  struct Phases {
-    double intensity = 0;      // max(kernel, cpu boundary) per step, summed
-    double temperature = 0;    // CPU post-step (modeled, cost_model.hpp)
-    double communication = 0;  // PCIe transfers (modeled)
-    double recovery = 0;       // backoff + retransmit + restore (modeled)
-    double redistribution = 0; // shard re-upload after a device eviction
-    double audit = 0;          // ABFT ledger upkeep + verify + sentinels
-    double speculation = 0;    // duplicated straggler work on the critical path
-    double rebalance = 0;      // shard re-upload of a dynamic derate
-    double total() const {
-      return intensity + temperature + communication + recovery + redistribution + audit +
-             speculation + rebalance;
-    }
-  };
-  const Phases& phases() const { return phases_; }
-  double phase_total() const override { return phases_.total(); }
-  // Virtual seconds consumed so far; equals phases().total() exactly (every
-  // phase charge advances this cursor, see charge_phase).
-  double virtual_elapsed() const override { return trace_cursor_; }
-  // Routes this solver's virtual-time phase spans to Chrome-trace track
-  // `track` (see OBSERVABILITY.md); `label` names it in the exported file.
-  void set_trace_track(int32_t track, const std::string& label = "");
-  int32_t trace_track() const { return trace_track_; }
-
   const std::vector<double>& temperature() const { return T_; }
   std::vector<double> gather_temperature() const override { return T_; }
 
@@ -110,10 +89,8 @@ class MultiGpuSolver : public DistributedSolver {
   // Dynamic derate: the chronic straggler keeps a band share inversely
   // proportional to its observed slowdown; survivors absorb the rest.
   void relayout_away(int32_t victim) override;
-  int32_t chronic_straggler() const override { return detector_.chronic_straggler(); }
+  // The devices, not the clock, consult the injector.
   void arm_strategy() override;
-  void charge_recovery(double seconds) override;
-  double charge_loss_detection(int32_t victim) override;
   // The device-mirror refresh is a real H2D cost, billed to the phase the
   // motion names.
   double restore_charged(const rt::Snapshot& snap, Motion m) override;
@@ -141,12 +118,6 @@ class MultiGpuSolver : public DistributedSolver {
   bool audit_sentinels(size_t p);
   void audit_energy_invariant();
   void rehome_device_mirrors();
-  // The single gateway for phase accounting: adds `seconds` to phases_.*field,
-  // emits a virtual-time trace span named `name` at the running cursor, and
-  // bumps the mgpu.phase.<name>_seconds metric. Because every phases_ mutation
-  // goes through here, per-phase span sums reconcile with phases().total() by
-  // construction (asserted in bench_straggler).
-  void charge_phase(double Phases::*field, const char* name, double seconds);
 
   rt::GpuSpec spec_;
   BandSlices slices_;
@@ -156,12 +127,6 @@ class MultiGpuSolver : public DistributedSolver {
   std::vector<double> T_;
   std::vector<double> G_global_;
   std::vector<double> host_back_, iob_scratch_;
-  Phases phases_;
-  int32_t trace_track_ = 100;  // Chrome-trace track of the virtual phase spans
-  double trace_cursor_ = 0.0;  // running virtual time; advanced by charge_phase
-  // Straggler defense: per-device step-time telemetry feeds the detector.
-  rt::StragglerDetector detector_;
-  std::vector<double> dev_seconds_;
 
   // ---- SDC defense scratch ----
   std::vector<int32_t> repair_cells_;       // scratch: cell list of one block

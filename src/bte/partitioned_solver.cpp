@@ -13,99 +13,13 @@
 
 namespace finch::bte {
 
-// ---- BspSolver ---------------------------------------------------------------
-
-BspSolver::BspSolver(const BteScenario& scenario, std::shared_ptr<const BtePhysics> physics,
-                     int nparts, Sites sites)
-    : DistributedSolver(scenario, std::move(physics), std::move(sites)),
-      bsp_(nparts < 1 ? 1 : nparts) {}
-
-void BspSolver::arm_strategy() {
-  bsp_.set_fault_injector(res_.injector);
-  bsp_.set_heartbeat(res_.heartbeat);
-  if (res_.straggler.enabled) bsp_.set_straggler(res_.straggler);
-}
-
-double BspSolver::charge_loss_detection(int32_t victim) {
-  const double before = bsp_.phases().recovery;
-  bsp_.evict_rank(victim);  // charges the heartbeat suspicion timeout
-  return bsp_.phases().recovery - before;
-}
-
-// Rollback costs nothing beyond the guarded load. After an eviction the
-// survivors reload the whole image over the interconnect; a rebalance moves
-// the live state.
-double BspSolver::restore_charged(const rt::Snapshot& snap, Motion m) {
-  restore(snap);
-  if (m == Motion::Redistribution) {
-    const double before = bsp_.phases().redistribution;
-    bsp_.charge_redistribution(store_.bytes_stored());
-    return bsp_.phases().redistribution - before;
-  }
-  if (m == Motion::Rebalance) {
-    int64_t bytes = 0;
-    for (const auto& f : snap.fields) bytes += static_cast<int64_t>(f.second.size()) * 8;
-    const double before = bsp_.phases().rebalance;
-    bsp_.charge_rebalance(bytes);
-    return bsp_.phases().rebalance - before;
-  }
-  return 0.0;
-}
-
-int32_t BspSolver::take_hang_suspect() {
-  const int32_t hung = bsp_.hang_suspect();
-  if (hung >= 0) bsp_.clear_hang_suspect();
-  return hung;
-}
-
-// Mirrors the BSP simulator's performance-fault telemetry into the solver's
-// stats block so benches read one struct.
-void BspSolver::sync_fault_telemetry() {
-  rstats_.slow_steps = bsp_.slow_steps();
-  rstats_.jitter_events = bsp_.jitter_events();
-  rstats_.hang_events = bsp_.hang_events();
-  rstats_.hang_timeouts = bsp_.watchdog_timeouts();
-  rstats_.speculation_seconds = bsp_.phases().speculation;
-}
-
-void BspSolver::arm_speculation_if_chronic() {
-  if (!resilient_ || !res_.straggler.enabled || !res_.straggler.speculation) return;
-  const int32_t victim = bsp_.straggler().chronic_straggler();
-  if (victim < 0) return;
-  const int32_t helper = bsp_.straggler().least_loaded(victim);
-  if (helper < 0) return;
-  bsp_.arm_speculation(victim, helper);
-  rstats_.speculations += 1;
-}
-
-bool BspSolver::deliver(rt::FaultInjector& fi, const char* site, const char* what) {
-  for (int attempt = 0; fi.should_fault(rt::FaultKind::DroppedMessage, site); ++attempt) {
-    rstats_.faults_detected += 1;
-    if (attempt >= res_.max_retries) {
-      health_.transfer_ok = false;
-      health_.detail = std::string(what) + " dropped after " + std::to_string(attempt) + " retries";
-      return false;
-    }
-    const double delay = backoff_delay(res_, attempt);
-    bsp_.charge_fault(delay);
-    rstats_.recovery_seconds += delay;
-    rstats_.retries += 1;
-  }
-  return true;
-}
-
-void BspSolver::charge_audit(double seconds) {
-  bsp_.charge_audit(seconds);
-  rstats_.audit_seconds += seconds;
-}
-
 // ---- CellPartitionedSolver ---------------------------------------------------
 
 CellPartitionedSolver::CellPartitionedSolver(const BteScenario& scenario,
                                              std::shared_ptr<const BtePhysics> physics, int nparts,
                                              mesh::PartitionMethod method)
-    : BspSolver(scenario, std::move(physics), nparts,
-                {"cell", rt::FaultKind::RankFailure, "cell-rank", "rank"}),
+    : DistributedSolver(scenario, std::move(physics), nparts,
+                        {"cell", rt::FaultKind::RankFailure, "cell-rank", "rank"}),
       mesh_(mesh::Mesh::structured_quad(scenario.nx, scenario.ny, scenario.lx, scenario.ly)),
       method_(method) {
   if (nparts < 1) throw std::invalid_argument("CellPartitionedSolver: nparts >= 1");
@@ -278,7 +192,7 @@ void CellPartitionedSolver::step() {
   }
   for (size_t p = 0; p < ranks_.size(); ++p)
     rank_seconds[p] = cost::sweep_seconds(static_cast<int64_t>(ranks_[p].owned.size()) * dofs_);
-  arm_speculation_if_chronic();
+  arm_speculation_if_chronic([&](int32_t v) { return rank_seconds[static_cast<size_t>(v)]; });
   bsp_.compute_step(rank_seconds, rt::BspSimulator::Phase::Compute);
   if (sdc_armed()) audit_sentinels();
   {
@@ -442,8 +356,8 @@ std::vector<double> CellPartitionedSolver::gather_temperature() const {
 
 BandPartitionedSolver::BandPartitionedSolver(const BteScenario& scenario,
                                              std::shared_ptr<const BtePhysics> physics, int nparts)
-    : BspSolver(scenario, std::move(physics), nparts,
-                {"band", rt::FaultKind::RankFailure, "band-rank", "rank"}),
+    : DistributedSolver(scenario, std::move(physics), nparts,
+                        {"band", rt::FaultKind::RankFailure, "band-rank", "rank"}),
       slices_(*phys_, scenario.nx * scenario.ny) {
   if (nparts < 1) throw std::invalid_argument("BandPartitionedSolver: nparts >= 1");
   if (nparts > nb_) throw std::invalid_argument("BandPartitionedSolver: more parts than bands");
@@ -563,7 +477,7 @@ void BandPartitionedSolver::step() {
   for (size_t p = 0; p < slices_.size(); ++p)
     rank_seconds[p] = cost::sweep_seconds(static_cast<int64_t>(cells_.size()) *
                                           slices_[p].bands() * nd_);
-  arm_speculation_if_chronic();
+  arm_speculation_if_chronic([&](int32_t v) { return rank_seconds[static_cast<size_t>(v)]; });
   bsp_.compute_step(rank_seconds, rt::BspSimulator::Phase::Compute);
 
   {

@@ -16,8 +16,8 @@
 // Both are strategies of the one resilient run driver (DistributedSolver,
 // distributed_solver.hpp): they supply one step, the field scan, the
 // canonical gather/scatter, the rebuild at M ranks and the rebalance layout,
-// while run(), checkpoints, eviction and durable resume live in the driver.
-// BspSolver holds what the two share, the BSP virtual clock. Both sweep with
+// while run(), checkpoints, eviction, durable resume and the BSP virtual
+// clock their ranks run on live in the driver. Both sweep with
 // the one kernel upwind_sweep and differ only in the cell → local-index map
 // they hand it: a cell rank maps global ids through global_to_local onto its
 // owned + ghost storage (the band slice bl = nb), a band rank uses the
@@ -45,12 +45,13 @@ struct CommVolume {
   int64_t total_bytes = 0;      // accumulated over run()
 };
 
-// The cell and band strategies' shared clock: ranks run supersteps on one
-// BSP simulator, which carries the phase ledger, the heartbeat, the
-// straggler detector and the exchange watchdog. Recovery costs are charged
-// to it; the numerics never see it.
-class BspSolver : public DistributedSolver {
+class CellPartitionedSolver : public DistributedSolver {
  public:
+  CellPartitionedSolver(const BteScenario& scenario, std::shared_ptr<const BtePhysics> physics,
+                        int nparts, mesh::PartitionMethod method = mesh::PartitionMethod::RCB);
+
+  void step() override;
+
   // Kills `rank` permanently; the death is discovered (heartbeat suspicion
   // timeout) at the next run() step boundary, the survivors rebuild at
   // nparts()-1 ranks and restart from the last checkpoint. Requires
@@ -58,57 +59,11 @@ class BspSolver : public DistributedSolver {
   // injector policies drive the same path with a deterministically drawn
   // victim.
   void kill_rank(int32_t rank) { request_kill(rank); }
-
   // Explicit deterministic performance fault: `rank` computes `factor`x
   // slower from now on (the SlowRank fault with a hand-placed victim). The
   // numerics are untouched — only the virtual clock feels it.
   void inject_slow_rank(int32_t rank, double factor) { bsp_.set_slow_rank(rank, factor); }
-
-  int nparts() const { return nparts_; }
   const CommVolume& comm() const { return comm_; }
-  // Virtual-time phase breakdown (modeled compute, see cost_model.hpp, and
-  // modeled communication).
-  const rt::PhaseTimes& phases() const { return bsp_.phases(); }
-  // Total virtual seconds on the BSP clock; equals phases().total() exactly.
-  double virtual_elapsed() const override { return bsp_.elapsed(); }
-  double phase_total() const override { return bsp_.phases().total(); }
-  // Routes this solver's virtual-time phase spans to Chrome-trace track
-  // `track` (see OBSERVABILITY.md); `label` names it in the exported file.
-  void set_trace_track(int32_t track, const std::string& label = "") {
-    bsp_.set_trace_track(track, label);
-  }
-
- protected:
-  BspSolver(const BteScenario& scenario, std::shared_ptr<const BtePhysics> physics, int nparts,
-            Sites sites);
-
-  void arm_strategy() override;
-  void charge_recovery(double seconds) override { bsp_.charge_recovery(seconds); }
-  double charge_loss_detection(int32_t victim) override;
-  double restore_charged(const rt::Snapshot& snap, Motion m) override;
-  int32_t chronic_straggler() const override { return bsp_.straggler().chronic_straggler(); }
-  int32_t take_hang_suspect() override;
-  void sync_fault_telemetry() override;
-  // Arms a one-shot speculative duplicate of the chronic straggler's shard on
-  // the least-loaded survivor, just before the compute superstep it covers.
-  void arm_speculation_if_chronic();
-  // Retransmits a message dropped at `site` with bounded exponential backoff
-  // (charged as fault stall). Returns false, with the step marked unhealthy,
-  // when the retry budget is spent.
-  bool deliver(rt::FaultInjector& fi, const char* site, const char* what);
-  // Charges modeled ABFT seconds to the audit phase and tallies them.
-  void charge_audit(double seconds);
-
-  rt::BspSimulator bsp_;
-  CommVolume comm_;
-};
-
-class CellPartitionedSolver : public BspSolver {
- public:
-  CellPartitionedSolver(const BteScenario& scenario, std::shared_ptr<const BtePhysics> physics,
-                        int nparts, mesh::PartitionMethod method = mesh::PartitionMethod::RCB);
-
-  void step() override;
 
   std::vector<double> gather_temperature() const override;
   // Per-cell owner multiplicity (how many ranks claim each cell).
@@ -149,6 +104,7 @@ class CellPartitionedSolver : public BspSolver {
   void temperature_rank(Rank& r);
   void audit_sentinels();
 
+  CommVolume comm_;
   mesh::Mesh mesh_;
   mesh::PartitionMethod method_;
   std::vector<int32_t> part_;
@@ -161,12 +117,17 @@ class CellPartitionedSolver : public BspSolver {
   std::vector<int32_t> sentinel_subset_;  // per-rank owned sentinels (global ids), reused
 };
 
-class BandPartitionedSolver : public BspSolver {
+class BandPartitionedSolver : public DistributedSolver {
  public:
   BandPartitionedSolver(const BteScenario& scenario, std::shared_ptr<const BtePhysics> physics,
                         int nparts);
 
   void step() override;
+
+  // As CellPartitionedSolver's.
+  void kill_rank(int32_t rank) { request_kill(rank); }
+  void inject_slow_rank(int32_t rank, double factor) { bsp_.set_slow_rank(rank, factor); }
+  const CommVolume& comm() const { return comm_; }
 
   std::vector<double> gather_temperature() const override { return T_; }
   const std::vector<double>& temperature() const { return T_; }
@@ -207,6 +168,7 @@ class BandPartitionedSolver : public BspSolver {
   void deliver_rank(size_t p);
   void audit_sentinels();
 
+  CommVolume comm_;
   std::vector<int32_t> cells_;  // every global cell id: the sweep's cell list
   BandSlices slices_;
   std::vector<Wire> wire_;

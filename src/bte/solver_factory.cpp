@@ -87,6 +87,6 @@ std::vector<double> AnySolver::intensity() const { return solver_->gather_intens
 
 double AnySolver::virtual_elapsed() const { return solver_->virtual_elapsed(); }
 
-double AnySolver::phase_total() const { return solver_->phase_total(); }
+double AnySolver::phase_total() const { return solver_->phases().total(); }
 
 }  // namespace finch::bte

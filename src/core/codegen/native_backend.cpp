@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include "native_ir.hpp"
+#include "runtime/hash.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/trace.hpp"
 
@@ -737,9 +738,9 @@ bool load_native_plan(NativePlan& plan, std::string* error) {
 
   std::string log;
   for (const std::string& flags : variants) {
-    uint64_t key = fnv1a64(plan.source);
-    key = fnv1a64(cfg.compiler, key);
-    key = fnv1a64(flags, key);
+    uint64_t key = rt::fnv1a64(plan.source);
+    key = rt::fnv1a64(cfg.compiler, key);
+    key = rt::fnv1a64(flags, key);
 
     {
       std::lock_guard<std::mutex> lk(g_cache_mu);

@@ -4,18 +4,9 @@
 #include <map>
 #include <tuple>
 
+#include "runtime/hash.hpp"
+
 namespace finch::codegen {
-
-uint64_t fnv1a64(const void* data, size_t n, uint64_t h) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-uint64_t fnv1a64(std::string_view s, uint64_t h) { return fnv1a64(s.data(), s.size(), h); }
 
 namespace {
 
@@ -156,18 +147,18 @@ std::vector<bool> face_invariant_mask(const KernelIr& ir) {
 }
 
 uint64_t fingerprint(const KernelIr& ir) {
-  uint64_t h = kFnvOffset;
+  uint64_t h = rt::kFnvOffset;
   for (const auto& n : ir.nodes) {
     const int32_t head[5] = {static_cast<int32_t>(n.op), n.a, n.b, n.c, n.slot};
-    h = fnv1a64(head, sizeof head, h);
+    h = rt::fnv1a64(head, sizeof head, h);
     if (n.op == Op::Const) {
       const uint64_t bits = bits_of(n.imm);
-      h = fnv1a64(&bits, sizeof bits, h);
+      h = rt::fnv1a64(&bits, sizeof bits, h);
     }
   }
-  for (const auto& b : ir.bindings) h = fnv1a64(binding_signature(b), h);
+  for (const auto& b : ir.bindings) h = rt::fnv1a64(binding_signature(b), h);
   const int32_t tail = ir.ret;
-  return fnv1a64(&tail, sizeof tail, h);
+  return rt::fnv1a64(&tail, sizeof tail, h);
 }
 
 }  // namespace finch::codegen

@@ -18,7 +18,6 @@
 // check rely on.
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "bytecode.hpp"
@@ -60,10 +59,5 @@ std::vector<bool> face_invariant_mask(const KernelIr& ir);
 // lowered structure fingerprints identically across runs and processes —
 // the IR half of the on-disk kernel cache key.
 uint64_t fingerprint(const KernelIr& ir);
-
-// FNV-1a-64 helpers shared with the cache-key computation.
-inline constexpr uint64_t kFnvOffset = 14695981039346656037ull;
-uint64_t fnv1a64(const void* data, size_t n, uint64_t h = kFnvOffset);
-uint64_t fnv1a64(std::string_view s, uint64_t h = kFnvOffset);
 
 }  // namespace finch::codegen

@@ -46,7 +46,6 @@ Mesh Mesh::structured_quad(int nx, int ny, double lx, double ly) {
   if (nx < 1 || ny < 1 || lx <= 0 || ly <= 0) throw std::invalid_argument("structured_quad: bad arguments");
   Mesh m;
   m.dim_ = 2;
-  m.region_names_ = {"ymin", "ymax", "xmin", "xmax"};
   const double hx = lx / nx, hy = ly / ny;
   const int32_t ncell = static_cast<int32_t>(nx) * ny;
   m.cell_volume_.assign(static_cast<size_t>(ncell), hx * hy);
@@ -109,7 +108,6 @@ Mesh Mesh::structured_hex(int nx, int ny, int nz, double lx, double ly, double l
     throw std::invalid_argument("structured_hex: bad arguments");
   Mesh m;
   m.dim_ = 3;
-  m.region_names_ = {"ymin", "ymax", "xmin", "xmax", "zmin", "zmax"};
   const double hx = lx / nx, hy = ly / ny, hz = lz / nz;
   const int32_t ncell = static_cast<int32_t>(nx) * ny * nz;
   m.cell_volume_.assign(static_cast<size_t>(ncell), hx * hy * hz);
@@ -196,7 +194,6 @@ Mesh Mesh::structured_line(int n, double length) {
   if (n < 1 || length <= 0) throw std::invalid_argument("structured_line: bad arguments");
   Mesh m;
   m.dim_ = 1;
-  m.region_names_ = {"xmin", "xmax"};
   const double h = length / n;
   m.cell_volume_.assign(static_cast<size_t>(n), h);
   m.cell_centroid_.resize(static_cast<size_t>(n));

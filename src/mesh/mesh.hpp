@@ -11,7 +11,6 @@
 // structured hexahedral grids for the "very coarse-grained 3-D runs".
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "geometry.hpp"
@@ -64,8 +63,6 @@ class Mesh {
     return fc.owner == cell ? fc.normal : fc.normal * -1.0;
   }
 
-  const std::string& region_name(int region) const { return region_names_[region - 1]; }
-
   // Cells adjacent to at least one boundary face.
   std::vector<int32_t> boundary_cells() const;
 
@@ -93,7 +90,6 @@ class Mesh {
   std::vector<Face> faces_;
   std::vector<int32_t> cell_face_offset_;  // size num_cells+1
   std::vector<int32_t> cell_face_ids_;
-  std::vector<std::string> region_names_;
 };
 
 }  // namespace finch::mesh

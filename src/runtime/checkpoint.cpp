@@ -23,14 +23,6 @@ constexpr uint64_t kMagic = 0x46434e4b50543031ULL;  // "FCNKPT01"
 // failures name the damaged field instead of a bare image-level mismatch.
 constexpr uint32_t kVersion = 2;
 
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
-
-uint64_t fnv1a64_feed(uint64_t h, const std::byte* p, size_t n) {
-  for (size_t i = 0; i < n; ++i) h = (h ^ static_cast<uint64_t>(p[i])) * kFnvPrime;
-  return h;
-}
-
 // A field payload feeds two FNV-1a chains, the field's own and the whole
 // image's; one loop advances both, so their multiply latencies overlap.
 void fnv1a64_feed2(uint64_t& field, uint64_t& image, const std::byte* p, size_t n) {
@@ -60,13 +52,13 @@ struct ImageWriter {
 
   void put_u64(uint64_t v) {
     for (int i = 0; i < 8; ++i) p[i] = static_cast<std::byte>((v >> (8 * i)) & 0xff);
-    image = fnv1a64_feed(image, p, 8);
+    image = fnv1a64(p, 8, image);
     p += 8;
   }
   void put_name(const std::string& name) {
     if (name.empty()) return;
     std::memcpy(p, name.data(), name.size());
-    image = fnv1a64_feed(image, p, name.size());
+    image = fnv1a64(p, name.size(), image);
     p += name.size();
   }
   // A field payload followed by its own checksum.
@@ -82,10 +74,6 @@ struct ImageWriter {
 };
 
 }  // namespace
-
-uint64_t fnv1a64(std::span<const std::byte> bytes) {
-  return fnv1a64_feed(kFnvOffset, bytes.data(), bytes.size());
-}
 
 uint64_t checksum_doubles(std::span<const double> data) {
   return fnv1a64(std::as_bytes(data));
@@ -158,7 +146,7 @@ Snapshot deserialize(std::span<const std::byte> bytes) {
   uint64_t image = kFnvOffset;
   size_t hashed = 0;
   const auto hash_upto = [&](size_t end) {
-    image = fnv1a64_feed(image, bytes.data() + hashed, end - hashed);
+    image = fnv1a64(bytes.data() + hashed, end - hashed, image);
     hashed = end;
   };
   // The structural walk runs before the trailing whole-image checksum so a

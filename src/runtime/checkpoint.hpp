@@ -38,6 +38,8 @@
 #include <utility>
 #include <vector>
 
+#include "hash.hpp"
+
 namespace finch::rt {
 
 class CheckpointError : public std::runtime_error {
@@ -45,9 +47,7 @@ class CheckpointError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-// Bitwise FNV-1a over the raw bytes of the doubles: NaN payloads, signed
-// zeros and infinities all hash distinctly, so any corruption is visible.
-uint64_t fnv1a64(std::span<const std::byte> bytes);
+// FNV-1a (hash.hpp) over the raw bytes of the doubles.
 uint64_t checksum_doubles(std::span<const double> data);
 
 // Scans for NaN/Inf; reports the first offending index through `first_bad`.

@@ -19,6 +19,9 @@ const char* phase_span_name(BspSimulator::Phase phase) {
     case BspSimulator::Phase::PostProcess: return "post_process";
     case BspSimulator::Phase::Communication: return "communication";
     case BspSimulator::Phase::Audit: return "audit";
+    case BspSimulator::Phase::Recovery: return "recovery";
+    case BspSimulator::Phase::Redistribution: return "redistribution";
+    case BspSimulator::Phase::Rebalance: return "rebalance";
   }
   return "compute";
 }
@@ -46,6 +49,26 @@ void BspSimulator::trace_charge(const char* name, double start, double seconds) 
   MetricsRegistry::global()
       .counter(std::string("bsp.phase.") + name + "_seconds")
       .add(seconds);
+}
+
+double& BspSimulator::slot(Phase phase) {
+  switch (phase) {
+    case Phase::Compute: return phases_.compute;
+    case Phase::PostProcess: return phases_.post_process;
+    case Phase::Communication: return phases_.communication;
+    case Phase::Audit: return phases_.audit;
+    case Phase::Recovery: return phases_.recovery;
+    case Phase::Redistribution: return phases_.redistribution;
+    case Phase::Rebalance: return phases_.rebalance;
+  }
+  return phases_.compute;
+}
+
+void BspSimulator::charge(Phase phase, double seconds) {
+  const double start = clock_;
+  clock_ += seconds;
+  slot(phase) += seconds;
+  trace_charge(phase_span_name(phase), start, seconds);
 }
 
 void BspSimulator::compute_step(std::span<const double> seconds, Phase phase) {
@@ -80,14 +103,14 @@ void BspSimulator::compute_step(std::span<const double> seconds, Phase phase) {
   if (stragopt_.enabled && phase == Phase::Compute) detector_.observe(scratch_);
 
   // One-shot speculative re-execution, if armed: the helper re-runs the
-  // victim's shard at nominal speed (seconds[victim], the unfaulted cost)
-  // after its own work, and the first finisher wins.
+  // victim's shard at nominal speed after its own work, and the first
+  // finisher wins.
   double spec_extra = 0.0;
   if (spec_victim_ >= 0 && spec_victim_ < nranks_ && spec_helper_ >= 0 &&
       spec_helper_ < nranks_) {
     const size_t v = static_cast<size_t>(spec_victim_);
     const size_t h = static_cast<size_t>(spec_helper_);
-    const double helper_total = scratch_[h] + seconds[v];
+    const double helper_total = scratch_[h] + spec_nominal_;
     const double effective_victim = std::min(scratch_[v], helper_total);
     const double helper_busy =
         std::min(helper_total, std::max(scratch_[h], effective_victim));
@@ -101,14 +124,8 @@ void BspSimulator::compute_step(std::span<const double> seconds, Phase phase) {
   const double start = clock_;
   clock_ += step;
   const double spec_charge = std::min(spec_extra, step);
-  switch (phase) {
-    case Phase::Compute: phases_.compute += step - spec_charge; break;
-    case Phase::PostProcess: phases_.post_process += step - spec_charge; break;
-    case Phase::Communication: phases_.communication += step - spec_charge; break;
-    case Phase::Audit: phases_.audit += step - spec_charge; break;
-  }
+  slot(phase) += step - spec_charge;
   phases_.speculation += spec_charge;
-  rank_seconds_by_phase_[static_cast<size_t>(phase)] = scratch_;
   trace_charge(phase_span_name(phase), start, step - spec_charge);
   trace_charge("speculation", start + (step - spec_charge), spec_charge);
   if (phase == Phase::Compute) {
@@ -222,11 +239,7 @@ void BspSimulator::evict_rank(int32_t rank) {
   if (nranks_ <= 1) throw std::invalid_argument("evict_rank: no survivors would remain");
   // Survivors confirm the death only after miss_threshold missed heartbeats;
   // that suspicion window is wall time the whole job loses.
-  const double timeout = heartbeat_.suspicion_timeout();
-  const double start = clock_;
-  clock_ += timeout;
-  phases_.recovery += timeout;
-  trace_charge("recovery", start, timeout);
+  charge(Phase::Recovery, heartbeat_.suspicion_timeout());
   MetricsRegistry::global().counter("bsp.evictions").add(1.0);
   nranks_ -= 1;
   evictions_ += 1;
@@ -246,12 +259,13 @@ void BspSimulator::set_slow_rank(int32_t rank, double factor) {
   slow_factor_ = factor;
 }
 
-void BspSimulator::arm_speculation(int32_t victim, int32_t helper) {
+void BspSimulator::arm_speculation(int32_t victim, int32_t helper, double nominal) {
   if (victim < 0 || victim >= nranks_ || helper < 0 || helper >= nranks_)
     throw std::invalid_argument("arm_speculation: rank out of range");
   if (victim == helper) throw std::invalid_argument("arm_speculation: victim == helper");
   spec_victim_ = victim;
   spec_helper_ = helper;
+  spec_nominal_ = nominal;
 }
 
 void BspSimulator::retire_rank(int32_t rank) {
@@ -281,43 +295,17 @@ void BspSimulator::charge_rebalance(int64_t bytes) {
   // Same scatter model as charge_redistribution, but the motion is a
   // scheduling decision (derating a straggler), not failure recovery — so it
   // lands in its own phase.
-  const double step = static_cast<double>(nranks_) * model_.latency_s +
-                      static_cast<double>(bytes) / model_.bandwidth_Bps;
-  const double start = clock_;
-  clock_ += step;
-  phases_.rebalance += step;
-  trace_charge("rebalance", start, step);
+  charge(Phase::Rebalance, static_cast<double>(nranks_) * model_.latency_s +
+                               static_cast<double>(bytes) / model_.bandwidth_Bps);
   MetricsRegistry::global().counter("bsp.rebalance.bytes").add(static_cast<double>(bytes));
-}
-
-const std::vector<double>& BspSimulator::last_rank_seconds(Phase phase) const {
-  return rank_seconds_by_phase_[static_cast<size_t>(phase)];
-}
-
-void BspSimulator::charge_recovery(double seconds) {
-  const double start = clock_;
-  clock_ += seconds;
-  phases_.recovery += seconds;
-  trace_charge("recovery", start, seconds);
 }
 
 void BspSimulator::charge_redistribution(int64_t bytes) {
   // The survivors re-read the checkpointed state and scatter it into the new
   // partitioning: one message per survivor plus the full image over the wire.
-  const double step = static_cast<double>(nranks_) * model_.latency_s +
-                      static_cast<double>(bytes) / model_.bandwidth_Bps;
-  const double start = clock_;
-  clock_ += step;
-  phases_.redistribution += step;
-  trace_charge("redistribution", start, step);
+  charge(Phase::Redistribution, static_cast<double>(nranks_) * model_.latency_s +
+                                    static_cast<double>(bytes) / model_.bandwidth_Bps);
   MetricsRegistry::global().counter("bsp.redistribution.bytes").add(static_cast<double>(bytes));
-}
-
-void BspSimulator::charge_audit(double seconds) {
-  const double start = clock_;
-  clock_ += seconds;
-  phases_.audit += seconds;
-  trace_charge("audit", start, seconds);
 }
 
 void BspSimulator::charge_fault(double seconds) {

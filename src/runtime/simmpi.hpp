@@ -75,12 +75,28 @@ class BspSimulator {
 
   int32_t nranks() const { return nranks_; }
 
+  // The PhaseTimes slot a charge lands in. Speculation and fault_stall have
+  // none: compute_step carves speculation out of a superstep, and
+  // fault_stall is the faulted share of communication.
+  enum class Phase {
+    Compute,
+    PostProcess,
+    Communication,
+    Audit,
+    Recovery,
+    Redistribution,
+    Rebalance
+  };
+
   // Advances the clock by a compute phase: every rank busy for seconds[r].
   // `phase` routes the elapsed max-time into the matching PhaseTimes slot.
-  enum class Phase { Compute, PostProcess, Communication, Audit };
   void compute_step(std::span<const double> seconds, Phase phase = Phase::Compute);
   // Convenience: all ranks take the same time.
   void uniform_compute(double seconds, Phase phase = Phase::Compute);
+  // A plain charge of `seconds` to `phase`, outside any superstep: recovery
+  // waits (replays, backoffs, quiesce barriers), ABFT verification work,
+  // shard motion priced by the caller.
+  void charge(Phase phase, double seconds);
 
   // Point-to-point exchange: each rank pays alpha per message plus bytes/bw
   // for everything it sends and receives; the step costs the max over ranks.
@@ -126,14 +142,9 @@ class BspSimulator {
   void evict_rank(int32_t rank);
   int32_t evictions() const { return evictions_; }
 
-  // Extra virtual seconds of recovery work (replay waits, quiesce barriers).
-  void charge_recovery(double seconds);
   // Models respreading `bytes` of checkpointed state over the survivors
   // (scatter through the interconnect), charged to the redistribution phase.
   void charge_redistribution(int64_t bytes);
-  // ABFT verification work (checksum folds, sidecar checks, sentinel
-  // recomputation), charged to the audit phase.
-  void charge_audit(double seconds);
 
   // ---- performance faults (straggler / hang resilience) --------------------
   //
@@ -151,12 +162,13 @@ class BspSimulator {
   int32_t slow_rank() const { return slow_rank_; }
 
   // One-shot speculative re-execution, armed by the caller just before the
-  // compute superstep: `helper` re-executes `victim`'s shard at nominal speed
-  // after finishing its own, and the first finisher wins. The duplicated
-  // seconds the helper adds to the critical path are charged to the
-  // speculation phase; the numerics are untouched (both replicas compute the
-  // same shard), so the result stays bit-exact by construction.
-  void arm_speculation(int32_t victim, int32_t helper);
+  // compute superstep: `helper` re-executes `victim`'s shard, which takes
+  // `nominal` seconds at nominal speed, after finishing its own, and the
+  // first finisher wins. The duplicated seconds the helper adds to the
+  // critical path are charged to the speculation phase; the numerics are
+  // untouched (both replicas compute the same shard), so the result stays
+  // bit-exact by construction.
+  void arm_speculation(int32_t victim, int32_t helper, double nominal);
 
   // Drains a live-but-chronically-slow rank: shrinks to nranks()-1 without
   // the suspicion timeout an eviction charges (the rank is alive — draining
@@ -179,10 +191,6 @@ class BspSimulator {
   int64_t hang_events() const { return hang_events_; }
   int64_t watchdog_timeouts() const { return watchdog_timeouts_; }
   int64_t retirements() const { return retirements_; }
-  // Effective per-rank seconds of the most recent compute_step in `phase`
-  // (faults applied, speculation applied) — the per-rank, per-phase telemetry
-  // the detector and tests consume. Empty until that phase first runs.
-  const std::vector<double>& last_rank_seconds(Phase phase) const;
 
   // The alpha-beta communication model, exposed so callers can price their
   // own repair traffic (e.g. re-pulling one corrupted halo message).
@@ -207,6 +215,8 @@ class BspSimulator {
   // Mirrors one clock charge of `seconds` starting at virtual time `start`
   // to the tracer (span named `name`) and the metrics registry.
   void trace_charge(const char* name, double start, double seconds);
+  // The PhaseTimes slot `phase` accumulates into.
+  double& slot(Phase phase);
   // Consults the injector for a HangExchange on a superstep of `nominal`
   // seconds; returns the extra stall. Without the defense the full
   // hang_seconds() timeout is paid; with it the watchdog charges one deadline
@@ -228,6 +238,7 @@ class BspSimulator {
   double slow_factor_ = 1.0;
   int32_t spec_victim_ = -1;
   int32_t spec_helper_ = -1;
+  double spec_nominal_ = 0.0;
   int32_t hang_suspect_ = -1;
   int64_t slow_steps_ = 0;
   int64_t jitter_events_ = 0;
@@ -236,7 +247,6 @@ class BspSimulator {
   int32_t retirements_ = 0;
   int32_t trace_track_ = 1;  // virtual-timeline track id for emitted spans
   int64_t trace_step_ = 0;   // superstep index attached to span attrs
-  std::vector<std::vector<double>> rank_seconds_by_phase_{4};
   std::vector<double> scratch_;
 };
 

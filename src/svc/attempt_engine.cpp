@@ -236,11 +236,16 @@ AttemptEngine::Decision AttemptEngine::decide(const Result& r, int attempt_index
   return d;
 }
 
+namespace {
+// Budget of shrink re-executions for one quarantine repro.
+constexpr int kMaxShrinkRuns = 64;
+}  // namespace
+
 std::vector<rt::ChaosFault> AttemptEngine::minimize_repro(const Resolved& rj,
                                                           rt::MemoryBudget* memory) {
   std::vector<rt::ChaosFault> cur = rj.spec.faults;
-  if (cur.size() < 2 || !options_->quarantine.minimize_repro) return cur;
-  int budget = options_->quarantine.max_shrink_runs;
+  if (cur.size() < 2) return cur;
+  int budget = kMaxShrinkRuns;
   auto& mx = rt::MetricsRegistry::global();
   auto fails = [&](const std::vector<rt::ChaosFault>& cand) {
     if (budget <= 0) return false;

@@ -112,7 +112,8 @@ class AttemptEngine {
   // Attempt-granularity transition: `failures` counts consecutive failures
   // INCLUDING this one when it failed; `attempt_index` is the index just run.
   Decision decide(const Result& r, int attempt_index, int failures) const;
-  // ddmin the job's fault schedule down to a minimal still-failing repro.
+  // ddmin the job's fault schedule down to a minimal still-failing repro,
+  // within a budget of kMaxShrinkRuns re-executions.
   std::vector<rt::ChaosFault> minimize_repro(const Resolved& rj, rt::MemoryBudget* memory);
 
   const SupervisorOptions& options() const { return *options_; }

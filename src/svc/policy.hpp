@@ -21,6 +21,7 @@
 #include <string>
 
 #include "bte/chaos_campaign.hpp"
+#include "runtime/hash.hpp"
 #include "runtime/memory.hpp"
 
 namespace finch::svc {
@@ -33,9 +34,7 @@ struct RetryPolicy {
 };
 
 struct QuarantinePolicy {
-  int threshold = 3;           // consecutive failed attempts (distinct seeds)
-  bool minimize_repro = true;  // ddmin-shrink the chaos schedule on trip
-  int max_shrink_runs = 64;    // budget for shrink re-executions
+  int threshold = 3;  // consecutive failed attempts (distinct seeds)
 };
 
 struct SupervisorOptions {
@@ -62,8 +61,6 @@ inline void validate_supervisor_options(const SupervisorOptions& o) {
     throw std::invalid_argument("SupervisorOptions: jitter_frac must be in [0, 1)");
   if (o.quarantine.threshold < 1)
     throw std::invalid_argument("SupervisorOptions: quarantine.threshold must be >= 1");
-  if (o.quarantine.max_shrink_runs < 0)
-    throw std::invalid_argument("SupervisorOptions: quarantine.max_shrink_runs must be >= 0");
 }
 
 // Deterministic exponential backoff with bounded multiplicative jitter:
@@ -74,13 +71,11 @@ inline double backoff_with_jitter(const RetryPolicy& p, const std::string& job_i
   double d = p.backoff_base_s;
   for (int k = 0; k < failure_index && d < p.backoff_max_s; ++k) d *= 2.0;
   if (d > p.backoff_max_s) d = p.backoff_max_s;
-  uint64_t h = 1469598103934665603ull;  // FNV-1a over (job_id, failure_index)
-  for (char c : job_id) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
+  // FNV-1a over (job_id, failure_index). The offset basis is a truncated
+  // copy of the standard one, kept so the jitter stays bit-identical.
+  uint64_t h = rt::fnv1a64(job_id, 1469598103934665603ull);
   h ^= static_cast<uint64_t>(failure_index);
-  h *= 1099511628211ull;
+  h *= rt::kFnvPrime;
   const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
   return d * (1.0 + p.jitter_frac * u);
 }

@@ -26,8 +26,6 @@ TEST(Mesh1D, ConnectivityAndGeometry) {
   for (int32_t f = 0; f < m.num_faces(); ++f)
     if (m.face(f).is_boundary()) ++boundary;
   EXPECT_EQ(boundary, 2);
-  EXPECT_EQ(m.region_name(1), "xmin");
-  EXPECT_EQ(m.region_name(2), "xmax");
 }
 
 TEST(Mesh1D, AdvectionThroughTheDslPipeline) {

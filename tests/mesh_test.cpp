@@ -46,8 +46,6 @@ TEST(MeshQuad, BoundaryRegionTags) {
   EXPECT_EQ(region_count[2], 3);  // ymax
   EXPECT_EQ(region_count[3], 2);  // xmin: ny faces
   EXPECT_EQ(region_count[4], 2);  // xmax
-  EXPECT_EQ(m.region_name(1), "ymin");
-  EXPECT_EQ(m.region_name(2), "ymax");
 }
 
 TEST(MeshQuad, InteriorFaceOwnersAndNeighborsConsistent) {

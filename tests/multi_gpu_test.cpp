@@ -110,8 +110,8 @@ TEST(MultiGpu, TemperatureUpdateDominatesPhases) {
   MultiGpuSolver multi(s, phys(), 2);
   multi.run(10);
   const auto& ph = multi.phases();
-  EXPECT_GT(ph.temperature, 0.0);
-  EXPECT_GT(ph.intensity, 0.0);
+  EXPECT_GT(ph.post_process, 0.0);
+  EXPECT_GT(ph.compute, 0.0);
   EXPECT_GT(ph.communication, 0.0);
 }
 

@@ -177,7 +177,7 @@ TEST(BspStraggler, SpeculationFirstFinisherWinsAndConserves) {
   rt::BspSimulator bsp(4);
   bsp.set_straggler(armed_straggler());
   bsp.set_slow_rank(1, 4.0);
-  bsp.arm_speculation(/*victim=*/1, /*helper=*/3);
+  bsp.arm_speculation(/*victim=*/1, /*helper=*/3, /*nominal=*/1e-3);
   const std::vector<double> sec = {1e-3, 1e-3, 1e-3, 1e-3};
   bsp.compute_step(sec);
   // Victim would take 4 ms; the helper finishes its own 1 ms then re-runs the
@@ -609,6 +609,32 @@ TEST(StragglerMultiGpu, SlowDeviceIsDeratedBitExactly) {
   EXPECT_TRUE(multi.device(1).is_slow());
   EXPECT_TRUE(bitwise_equal(multi.temperature(), serial.temperature()));
   EXPECT_TRUE(bitwise_equal(multi.gather_intensity(), serial.intensity()));
+}
+
+TEST(StragglerMultiGpu, SpeculationLedgerMatchesStatsAndClock) {
+  // Speculation duplicates the 4x device's shard on a healthy device. Its
+  // charge must land once, in the phase ledger, the stats and the clock alike,
+  // and must not touch the numerics.
+  const BteScenario s = tiny_scenario();
+  auto phys = std::make_shared<const BtePhysics>(s.nbands, s.ndirs);
+  const int nsteps = 16;
+  MultiGpuSolver undefended(s, phys, 4);
+  undefended.inject_slow_device(2, 4.0);
+  undefended.run(nsteps);
+
+  MultiGpuSolver multi(s, phys, 4);
+  ResilienceOptions opt;
+  opt.straggler = armed_straggler();
+  opt.straggler.rebalance = false;  // keep the device slow so speculation fires
+  multi.enable_resilience(opt);
+  multi.inject_slow_device(2, 4.0);
+  multi.run(nsteps);
+  EXPECT_GT(multi.resilience_stats().speculations, 0);
+  EXPECT_GT(multi.phases().speculation, 0.0);
+  EXPECT_EQ(multi.resilience_stats().speculation_seconds, multi.phases().speculation);
+  EXPECT_NEAR(multi.phases().total(), multi.virtual_elapsed(), 1e-11 * multi.virtual_elapsed());
+  EXPECT_TRUE(bitwise_equal(multi.temperature(), undefended.temperature()));
+  EXPECT_TRUE(bitwise_equal(multi.gather_intensity(), undefended.gather_intensity()));
 }
 
 TEST(StragglerMultiGpu, InjectedSlowRankFaultSticksToOneDevice) {

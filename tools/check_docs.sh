@@ -15,6 +15,9 @@
 #  4. Every header under src/ must be included by some file outside tests/
 #     (src/, bench/, examples/, perfledger/src/, tools/) other than its own
 #     .cpp, so a module that only its own test reaches cannot grow back.
+#  5. Every metric prefix `<prefix>.*` in the first column of OBSERVABILITY.md's
+#     "Metric registry" table must occur as a "<prefix>. string literal in
+#     src/, so a documented metric family cannot outlive the code emitting it.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -126,8 +129,25 @@ while IFS= read -r hpp; do
 done < <(find src -name '*.hpp' | sort)
 rm -f "$reached"
 
+# ---- 5. metric registry prefixes ----------------------------------------------
+prefixes=$(awk '/^## Metric registry/ { on = 1; next } on && /^## / { on = 0 } on && /^\| `/' \
+             OBSERVABILITY.md | cut -d'|' -f2 | grep -o '`[a-z_.]*\.\*`' | tr -d '`' |
+             sed 's/\.\*$//' | sort -u)
+if [ -z "$prefixes" ]; then
+  echo "DOCS-CHECK [!!] OBSERVABILITY.md has no Metric registry prefixes"
+  failures=$((failures + 1))
+fi
+for prefix in $prefixes; do
+  if ! grep -rqF "\"$prefix." src; then
+    echo "DOCS-CHECK [!!] OBSERVABILITY.md documents metric prefix $prefix.* but no" \
+         "\"$prefix. literal in src/ emits it"
+    failures=$((failures + 1))
+  fi
+done
+
 if [ "$failures" -ne 0 ]; then
   echo "DOCS-CHECK: $failures failure(s)"
   exit 1
 fi
-echo "DOCS-CHECK [ok] all public headers documented and reached, all Markdown links resolve"
+echo "DOCS-CHECK [ok] all public headers documented and reached, all Markdown links resolve," \
+     "all documented metric prefixes emitted"
