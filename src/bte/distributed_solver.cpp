@@ -358,7 +358,7 @@ void DistributedSolver::maybe_mitigate_stragglers() {
   if (!res_.straggler.enabled || !res_.straggler.rebalance || nparts_ <= 1) return;
   if (rstats_.rebalances >= res_.straggler.max_rebalances) return;
   const int32_t victim = bsp_.straggler().chronic_straggler();
-  if (victim < 0) return;
+  if (victim < 0 || !relayout_moves(victim)) return;
   const rt::Snapshot live = snapshot();
   relayout_away(victim);
   rstats_.rebalance_seconds += restore_charged(live, Motion::Rebalance);
@@ -439,6 +439,12 @@ BandSlices::Ranges BandSlices::weighted_split(int nparts, int32_t victim, double
     lo = hi;
   }
   return ranges;
+}
+
+BandSlices::Ranges BandSlices::ranges() const {
+  Ranges out;
+  for (const Slice& s : slices_) out.emplace_back(s.b_lo, s.b_hi);
+  return out;
 }
 
 void BandSlices::assign(const Ranges& ranges, double T) {

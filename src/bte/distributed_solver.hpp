@@ -146,6 +146,10 @@ class DistributedSolver {
   // New layout that moves load off the chronic straggler `victim`; the
   // driver restores the live state onto it afterwards.
   virtual void relayout_away(int32_t victim) = 0;
+  // False when relayout_away(victim) would leave every unit of work where it
+  // is; the driver then moves, charges and counts nothing. By default a
+  // relayout always moves work.
+  virtual bool relayout_moves(int32_t /*victim*/) const { return true; }
   // Installs res_ on the strategy's fault sites (after the driver armed the
   // clock's heartbeat and straggler defense). By default the clock itself
   // consults the injector, as cell and band ranks do.
@@ -272,6 +276,8 @@ class BandSlices {
   Ranges weighted_split(int nparts, int32_t victim, double slowdown) const;
   // Re-lays the slices out over `ranges`, every value at equilibrium with T.
   void assign(const Ranges& ranges, double T);
+  // The current layout.
+  Ranges ranges() const;
 
   size_t size() const { return slices_.size(); }
   Slice& operator[](size_t p) { return slices_[p]; }

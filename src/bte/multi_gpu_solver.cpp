@@ -70,6 +70,7 @@ void MultiGpuSolver::allocate_mirror(size_t p) {
 
 void MultiGpuSolver::step() {
   double comm = 0;
+  bool stretched = false;
   std::vector<double> dev_seconds(slices_.size());
 
   // Every device's interior kernel body and CPU boundary cells run first,
@@ -102,6 +103,7 @@ void MultiGpuSolver::step() {
     ks.divergence = 0.05;
     launch_with_retry(gpu, "bte_interior", ks);
     const double kernel_seconds = gpu.stream_clock(0) - dev_before;
+    stretched = stretched || gpu.is_slow();
 
     // Boundary cells on the CPU (the user-callback side of Fig. 6).
     const double cpu_boundary =
@@ -127,6 +129,7 @@ void MultiGpuSolver::step() {
   // step of a healthy device.
   arm_speculation_if_chronic([this](int32_t) { return bsp_.straggler().fleet_median(); });
   bsp_.compute_step(dev_seconds, rt::BspSimulator::Phase::Compute);
+  if (stretched) rstats_.slow_steps += 1;
   bsp_.uniform_compute(comm, rt::BspSimulator::Phase::Communication);
 
   // Gather band sums, temperature update on the CPU (replicated), over cell
@@ -449,17 +452,13 @@ int64_t MultiGpuSolver::shrink_scratch() {
   return shrink(host_back_) + shrink(iob_scratch_) + shrink(sentinel_scratch_);
 }
 
-// Mirrors the per-device performance-fault counters into the run stats.
-// Evictions recreate devices, so this is a floor, not an exact total.
+// Mirrors the per-device jitter counters into the run stats. Evictions
+// recreate devices, so this is a floor, not an exact total. step() counts
+// slow_steps itself: the devices, not the clock, stretch a slow superstep.
 void MultiGpuSolver::sync_fault_telemetry() {
   int64_t jitter = 0;
-  int64_t slow = 0;
-  for (const auto& dev : devices_) {
-    jitter += dev->counters().jitter_events;
-    if (dev->is_slow()) slow += 1;
-  }
+  for (const auto& dev : devices_) jitter += dev->counters().jitter_events;
   rstats_.jitter_events = jitter;
-  rstats_.slow_steps = std::max(rstats_.slow_steps, slow);
 }
 
 }  // namespace finch::bte

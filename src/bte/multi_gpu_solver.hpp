@@ -89,6 +89,13 @@ class MultiGpuSolver : public DistributedSolver {
   // Dynamic derate: the chronic straggler keeps a band share inversely
   // proportional to its observed slowdown; survivors absorb the rest.
   void relayout_away(int32_t victim) override;
+  // A device whose step does not shrink with its band share (a launch-bound
+  // kernel under one wave) keeps its measured slowdown after a derate, and
+  // the derate then reproduces the current layout: nothing to move.
+  bool relayout_moves(int32_t victim) const override {
+    return slices_.weighted_split(num_devices(), victim, bsp_.straggler().slowdown(victim)) !=
+           slices_.ranges();
+  }
   // The devices, not the clock, consult the injector.
   void arm_strategy() override;
   // The device-mirror refresh is a real H2D cost, billed to the phase the

@@ -148,6 +148,10 @@ class BandPartitionedSolver : public DistributedSolver {
   // the spectrum inversely proportional to its observed slowdown and the
   // survivors absorb the rest; the fleet keeps its rank count.
   void relayout_away(int32_t victim) override;
+  bool relayout_moves(int32_t victim) const override {
+    return slices_.weighted_split(nparts_, victim, bsp_.straggler().slowdown(victim)) !=
+           slices_.ranges();
+  }
   void validate() override;
   void gather_intensity_into(std::vector<double>& I) const override {
     slices_.gather_intensity(I);

@@ -69,13 +69,6 @@ class GpuSolver final : public StepSolverBase {
  public:
   GpuSolver(dsl::Problem& p, rt::SimGpu* gpu)
       : StepSolverBase(require_forward_euler(p), nullptr), gpu_(gpu) {
-    // Interior / boundary split (boundary cells need CPU callbacks).
-    const mesh::Mesh& mesh = p.mesh();
-    std::vector<char> is_bdry(static_cast<size_t>(mesh.num_cells()), 0);
-    for (int32_t c : mesh.boundary_cells()) is_bdry[static_cast<size_t>(c)] = 1;
-    for (int32_t c = 0; c < mesh.num_cells(); ++c)
-      (is_bdry[static_cast<size_t>(c)] ? boundary_cells_ : interior_cells_).push_back(c);
-
     // Movement plan + one-time uploads. Device buffers hold real copies so
     // transfer semantics are exercised; the numerics read the host fields
     // (bit-identical — the device copy is a mirror).
@@ -100,7 +93,8 @@ class GpuSolver final : public StepSolverBase {
 
     // 2. Boundary cells on the CPU, overlapping the kernels (Fig. 6).
     auto t0 = Clock::now();
-    for (size_t e = 0; e < eqs_.size(); ++e) vm_sweep(e, scratch_[e], p_.dt(), boundary_cells_);
+    for (size_t e = 0; e < eqs_.size(); ++e)
+      vm_sweep(e, scratch_[e], p_.dt(), boundary_cells_, nullptr);
     const double cpu_boundary_seconds = seconds_since(t0);
     publish_guard_tallies();
 
@@ -145,7 +139,7 @@ class GpuSolver final : public StepSolverBase {
     rt::TraceSpan span("gpu.launch_interior");
     gpu_->launch(
         "interior_" + ce.program->variable, ks,
-        [&] { vm_sweep(e, scratch_[e], p_.dt(), interior_cells_); }, kernel_stream_);
+        [&] { vm_sweep(e, scratch_[e], p_.dt(), interior_cells_, nullptr); }, kernel_stream_);
   }
 
   // Per-step transfers seal an ABFT sidecar from the source payload and
@@ -180,7 +174,6 @@ class GpuSolver final : public StepSolverBase {
   }
 
   rt::SimGpu* gpu_;
-  std::vector<int32_t> interior_cells_, boundary_cells_;
   MovementPlan plan_;
   std::map<std::string, rt::DeviceBuffer> device_;
   std::vector<double> host_scratch_;

@@ -80,27 +80,13 @@ class NativeSolver final : public StepSolverBase {
     // The non-finite guard audits per VM instruction — native kernels cannot
     // observe at that granularity, so guarded solves stay on the VM.
     if (en.plan.fn == nullptr || guard_enabled_) {
-      vm_sweep(e, out, dt_stage, all_cells_);
+      vm_sweep(e, out, dt_stage, all_cells_, pool_);
       return;
     }
     refresh_bc(e, dt_stage);
     if (!en.verified && jit_config().verify_first_sweep) {
       en.verified = true;
-      // Differential check: replay this exact sweep on the VM oracle and
-      // require bit identity. A mismatch demotes the equation to the VM and
-      // keeps the oracle's answer — never a wrong result.
-      fvm::CellField ref("jit_verify", out.num_cells(), out.dof_per_cell(), out.layout());
-      std::copy(out.data().begin(), out.data().end(), ref.data().begin());
-      run_kernel(e, out, dt_stage);
-      vm_sweep(e, ref, dt_stage, all_cells_);
-      if (std::memcmp(out.data().data(), ref.data().data(),
-                      out.data().size() * sizeof(double)) != 0) {
-        auto& reg = rt::MetricsRegistry::global();
-        reg.counter("jit.verify.mismatch").add();
-        reg.counter("jit.fallback").add();
-        en.plan.fn = nullptr;
-        std::copy(ref.data().begin(), ref.data().end(), out.data().begin());
-      }
+      verify_sweep(e, out, dt_stage);
       return;
     }
     en.verified = true;
@@ -108,6 +94,35 @@ class NativeSolver final : public StepSolverBase {
   }
 
  private:
+  // Differential check: replay this exact sweep on the VM oracle and require
+  // bit identity over every DOF. A mismatch demotes the equation to the VM
+  // and keeps the oracle's answer — never a wrong result. The interior cells
+  // run no BC callback, so they fan out over the solver's pool, or the shared
+  // pool for a serial solver. The boundary cells follow on the solver's own
+  // pool; a serial solver has none, so its callbacks run on the calling
+  // thread and never overlap.
+  void verify_sweep(size_t e, fvm::CellField& out, double dt_stage) {
+    fvm::CellField ref("jit_verify", out.num_cells(), out.dof_per_cell(), out.layout());
+    std::copy(out.data().begin(), out.data().end(), ref.data().begin());
+    run_kernel(e, out, dt_stage);
+    rt::SpanAttrs attrs;
+    attrs.phase = "compute";
+    rt::TraceSpan span("jit.verify", attrs);
+    const auto t0 = Clock::now();
+    vm_sweep(e, ref, dt_stage, interior_cells_,
+             pool_ != nullptr ? pool_ : &rt::ThreadPool::shared());
+    vm_sweep(e, ref, dt_stage, boundary_cells_, pool_);
+    const bool same = std::memcmp(out.data().data(), ref.data().data(),
+                                  out.data().size() * sizeof(double)) == 0;
+    auto& reg = rt::MetricsRegistry::global();
+    reg.counter("jit.verify.seconds").add(seconds_since(t0));
+    if (same) return;
+    reg.counter("jit.verify.mismatch").add();
+    reg.counter("jit.fallback").add();
+    native_[e].plan.fn = nullptr;
+    std::copy(ref.data().begin(), ref.data().end(), out.data().begin());
+  }
+
   void build_face_csr() {
     const mesh::Mesh& mesh = p_.mesh();
     const int64_t nc = mesh.num_cells();

@@ -7,7 +7,10 @@
 // structure) is marked fallback and runs the bytecode VM — counted in the
 // `jit.fallback` metric, never a wrong answer. The first native sweep of each
 // equation is verified bit-for-bit against the VM (FINCH_JIT_VERIFY=0 skips);
-// a mismatch demotes that equation to the VM permanently. Solvers with the
+// a mismatch demotes that equation to the VM permanently. The VM replays the
+// interior cells on the shared pool (a threaded solver's own pool) and then
+// the boundary cells on the solver's own lanes; for a serial solver that is
+// one thread, so its BC callbacks never run concurrently. Solvers with the
 // non-finite guard armed always take the VM path, which is where the
 // per-instruction auditing lives.
 

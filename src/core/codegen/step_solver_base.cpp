@@ -48,8 +48,13 @@ StepSolverBase::StepSolverBase(dsl::Problem& p, rt::ThreadPool* pool) : p_(p), p
   for (auto& ce : eqs_)
     scratch_.emplace_back(ce.field->name() + "_new", ce.field->num_cells(), ce.field->dof_per_cell(),
                           ce.field->layout());
-  all_cells_.resize(static_cast<size_t>(p.mesh().num_cells()));
+  const mesh::Mesh& mesh = p.mesh();
+  all_cells_.resize(static_cast<size_t>(mesh.num_cells()));
   std::iota(all_cells_.begin(), all_cells_.end(), 0);
+  std::vector<char> on_boundary(all_cells_.size(), 0);
+  for (int32_t c : mesh.boundary_cells()) on_boundary[static_cast<size_t>(c)] = 1;
+  for (int32_t c : all_cells_)
+    (on_boundary[static_cast<size_t>(c)] ? boundary_cells_ : interior_cells_).push_back(c);
 }
 
 void StepSolverBase::step() {
@@ -84,7 +89,7 @@ void StepSolverBase::publish_guard_tallies() {
 }
 
 void StepSolverBase::sweep_equation(size_t e, fvm::CellField& out, double dt_stage) {
-  vm_sweep(e, out, dt_stage, all_cells_);
+  vm_sweep(e, out, dt_stage, all_cells_, pool_);
 }
 
 void StepSolverBase::euler_step() {
@@ -141,7 +146,7 @@ void StepSolverBase::build_env() {
 }
 
 void StepSolverBase::vm_sweep(size_t eq, fvm::CellField& out, double dt_stage,
-                              std::span<const int32_t> cells) {
+                              std::span<const int32_t> cells, rt::ThreadPool* pool) {
   CompiledEquation& ce = eqs_[eq];
   rt::TraceSpan span("cpu.sweep");
   const auto sweep_t0 = Clock::now();
@@ -195,11 +200,13 @@ void StepSolverBase::vm_sweep(size_t eq, fvm::CellField& out, double dt_stage,
     out.at(cell, static_cast<int32_t>(ce.var_addr.dof(ctx.loop_values))) = value;
   };
 
-  if (pool_ != nullptr) {
-    pool_->parallel_for(0, total, body, std::max<int64_t>(total / (8 * pool_->size()), 64));
-  } else {
-    for (int64_t it = 0; it < total; ++it) body(it);
-  }
+  const auto run = [&](int64_t begin, int64_t end) {
+    for (int64_t it = begin; it < end; ++it) body(it);
+  };
+  if (pool == nullptr ||
+      !pool->try_parallel_for_chunks(0, total, run,
+                                     std::max<int64_t>(total / (8 * pool->size()), 64)))
+    run(0, total);
   // Batch-level VM telemetry (per-eval timers would dominate the ~40-90 ns
   // evals). Surface evals are estimated as faces-per-cell x iterations.
   int64_t surface_evals = 0;

@@ -2,9 +2,12 @@
 // Shared scaffolding for in-process step solvers executing compiled
 // StepPrograms: equation compilation, scratch/commit double-buffering, the
 // ForwardEuler and RK2-midpoint schemes, the bytecode-VM sweep over a cell
-// list (with the non-finite guard) and the boundary-condition handling. The
-// CPU targets use this class directly; the native JIT backend overrides
-// sweep_equation() with kernel execution, and the hybrid GPU target
+// list (with the non-finite guard), the boundary-condition handling and the
+// interior/boundary cell split. The CPU targets use this class directly; the
+// native JIT backend overrides sweep_equation() with kernel execution and
+// checks its first sweep against the VM, replaying the interior cells on the
+// shared pool and then the boundary cells on the solver's own lanes (one
+// thread for a serial solver); the hybrid GPU target
 // overrides step() to sweep the interior cells inside a device launch and
 // the boundary cells on the host. Every scheme/BC/guard behavior — and the
 // VM as a drop-in oracle — lives in one place.
@@ -47,8 +50,11 @@ class StepSolverBase : public dsl::Solver {
   virtual void sweep_equation(size_t e, fvm::CellField& out, double dt_stage);
 
   // The interpreter sweep over the DOFs of `cells` — the portable path and
-  // the differential oracle. Writes only those cells' rows of `out`.
-  void vm_sweep(size_t e, fvm::CellField& out, double dt_stage, std::span<const int32_t> cells);
+  // the differential oracle. Writes only those cells' rows of `out`. With a
+  // `pool`, the DOFs fan out over it when it is free; a busy pool, or a
+  // caller that is itself a pool job, runs them on the calling thread.
+  void vm_sweep(size_t e, fvm::CellField& out, double dt_stage, std::span<const int32_t> cells,
+                rt::ThreadPool* pool);
   // Copies the guard's atomic tallies into the published report.
   void publish_guard_tallies();
 
@@ -66,6 +72,9 @@ class StepSolverBase : public dsl::Solver {
   std::vector<fvm::CellField> scratch_;
   std::vector<double> backup_;
   std::vector<int32_t> all_cells_;  // 0..num_cells-1, the whole-mesh sweep
+  // Interior cells have no boundary face, so no BC callback runs for them;
+  // every callback runs for a boundary cell.
+  std::vector<int32_t> interior_cells_, boundary_cells_;
   // Guard tallies: atomics so pooled sweeps can report without contention;
   // the mutex only serializes recording the (rare) first offender.
   std::atomic<int64_t> guard_evals_{0};

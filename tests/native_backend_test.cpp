@@ -7,6 +7,7 @@
 // produce the VM's exact answer.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -34,17 +35,20 @@ bool bits_equal(const fvm::CellField& a, const fvm::CellField& b) {
   return std::memcmp(a.data().data(), b.data().data(), a.data().size() * sizeof(double)) == 0;
 }
 
-// Small toy problem over a 6x5 quad mesh: I[d,b] with direction/band indices,
-// a flux BC on the y-min wall, optionally a value BC on y-max, and the x walls
-// left as default zero-flux.
+// Small toy problem over an nx x ny (default 6x5) quad mesh: I[d,b] with
+// direction/band indices,
+// a flux BC on the y-min wall, optionally a value BC on y-max (`value_fn`, or
+// a fixed profile), and the x walls left as default zero-flux.
 std::unique_ptr<dsl::Problem> toy_problem(const std::string& eq, dsl::Backend backend,
                                           fvm::Layout layout = fvm::Layout::CellMajor,
                                           sym::TimeScheme scheme = sym::TimeScheme::ForwardEuler,
-                                          bool value_bc = false) {
+                                          bool value_bc = false,
+                                          fvm::BoundaryCallback value_fn = nullptr, int nx = 6,
+                                          int ny = 5) {
   auto p = std::make_unique<dsl::Problem>("toy");
   p->domain(2).time_stepper(scheme);
   p->set_steps(0.01, 4);
-  p->set_mesh(mesh::Mesh::structured_quad(6, 5, 1.0, 1.0));
+  p->set_mesh(mesh::Mesh::structured_quad(nx, ny, 1.0, 1.0));
   p->layout(layout);
   p->execution_backend(backend);
   p->index("d", 1, 3);
@@ -64,7 +68,9 @@ std::unique_ptr<dsl::Problem> toy_problem(const std::string& eq, dsl::Backend ba
   p->boundary("I", 1, dsl::BcType::Flux, "toy_flux", [](const fvm::BoundaryContext& ctx) {
     return 0.1 * (ctx.cell + 1) + 0.01 * ctx.dof + 0.02 * ctx.dir - 0.005 * ctx.band;
   });
-  if (value_bc) {
+  if (value_fn) {
+    p->boundary("I", 2, dsl::BcType::Value, "toy_value", std::move(value_fn));
+  } else if (value_bc) {
     p->boundary("I", 2, dsl::BcType::Value, "toy_value", [](const fvm::BoundaryContext& ctx) {
       return 0.2 + 0.03 * ctx.dof + 0.001 * ctx.cell;
     });
@@ -411,6 +417,76 @@ TEST_F(NativeBackendTest, VerifyKnobIsHonored) {
   auto sn = pn->compile(dsl::Target::CpuSerial);
   sv->run(2);
   sn->run(2);
+  EXPECT_TRUE(bits_equal(pv->fields().get("I"), pn->fields().get("I")));
+}
+
+// A value-BC callback that is stateful and deliberately not thread-safe: a
+// plain call counter. The first `first_calls` calls return one wall value and
+// every later call another. An atomic in-flight flag records whether two
+// calls ever overlapped.
+struct CountingWall {
+  int calls = 0;
+  int first_calls = 0;
+  std::atomic<bool> in_flight{false};
+  std::atomic<bool> overlapped{false};
+
+  fvm::BoundaryCallback callback() {
+    return [this](const fvm::BoundaryContext&) {
+      if (in_flight.exchange(true)) overlapped = true;
+      const double v = calls++ < first_calls ? 0.2 : 0.9;
+      in_flight = false;
+      return v;
+    };
+  }
+};
+
+TEST_F(NativeBackendTest, VerifyMismatchDemotesToTheVm) {
+  // A mesh large enough that the replay's interior and boundary cells each
+  // span many pool chunks. The y-max wall has nx boundary (cell, face) slots
+  // over 3 x 2 = 6 DOFs: the native pre-pass evaluates the callback nx * 6
+  // times and sees 0.2; the VM replay then sees 0.9, so kernel and oracle
+  // disagree at every inflow DOF.
+  constexpr int kNx = 48, kNy = 40;
+  constexpr int kPrePassCalls = kNx * 6;
+  CountingWall native_wall, vm_wall;
+  native_wall.first_calls = kPrePassCalls;
+  vm_wall.first_calls = 0;  // the reference sees only the value the VM saw
+  auto pn = toy_problem(kToySurfaceEq, dsl::Backend::Native, fvm::Layout::CellMajor,
+                        sym::TimeScheme::ForwardEuler, true, native_wall.callback(), kNx, kNy);
+  auto pv = toy_problem(kToySurfaceEq, dsl::Backend::Vm, fvm::Layout::CellMajor,
+                        sym::TimeScheme::ForwardEuler, true, vm_wall.callback(), kNx, kNy);
+  const double fb0 = counter("jit.fallback");
+  const double mm0 = counter("jit.verify.mismatch");
+  auto sn = pn->compile(dsl::Target::CpuSerial);
+  ASSERT_EQ(counter("jit.fallback"), fb0) << "JIT fell back instead of compiling";
+  auto sv = pv->compile(dsl::Target::CpuSerial);
+  sn->run(3);
+  sv->run(3);
+  EXPECT_EQ(counter("jit.verify.mismatch"), mm0 + 1);
+  EXPECT_EQ(counter("jit.fallback"), fb0 + 1);
+  EXPECT_GT(native_wall.calls, kPrePassCalls);
+  EXPECT_TRUE(bits_equal(pv->fields().get("I"), pn->fields().get("I")));
+  EXPECT_FALSE(native_wall.overlapped) << "a serial solver ran two BC callbacks at once";
+}
+
+TEST_F(NativeBackendTest, VerifyInsideAPoolJobRunsInline) {
+  // A serial native solve issued from inside a shared-pool job finds the pool
+  // busy: its first-sweep check runs on the calling thread and still passes.
+  auto pv = toy_problem(kToySurfaceEq, dsl::Backend::Vm);
+  auto sv = pv->compile(dsl::Target::CpuSerial);
+  sv->run(3);
+  auto pn = toy_problem(kToySurfaceEq, dsl::Backend::Native);
+  const double fb0 = counter("jit.fallback");
+  const double mm0 = counter("jit.verify.mismatch");
+  const double verify0 = counter("jit.verify.seconds");
+  rt::ThreadPool& pool = rt::ThreadPool::shared();
+  ASSERT_TRUE(pool.try_parallel_for_chunks(0, 1, [&](int64_t, int64_t) {
+    auto sn = pn->compile(dsl::Target::CpuSerial);
+    sn->run(3);
+  }));
+  EXPECT_EQ(counter("jit.fallback"), fb0);
+  EXPECT_EQ(counter("jit.verify.mismatch"), mm0);
+  EXPECT_GT(counter("jit.verify.seconds"), verify0);
   EXPECT_TRUE(bits_equal(pv->fields().get("I"), pn->fields().get("I")));
 }
 

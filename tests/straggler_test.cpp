@@ -637,6 +637,59 @@ TEST(StragglerMultiGpu, SpeculationLedgerMatchesStatsAndClock) {
   EXPECT_TRUE(bitwise_equal(multi.gather_intensity(), undefended.gather_intensity()));
 }
 
+TEST(StragglerMultiGpu, SlowStepsCountStretchedSuperstepsLikeBand) {
+  // slow_steps counts compute supersteps a slow rank stretched: a device at 4x
+  // for every one of 20 steps stretches 20 of them, as a band rank does.
+  const BteScenario s = tiny_scenario();
+  auto phys = std::make_shared<const BtePhysics>(s.nbands, s.ndirs);
+  const int nsteps = 20;
+  ResilienceOptions opt;
+  opt.straggler = armed_straggler();
+
+  BandPartitionedSolver band(s, phys, 4);
+  band.enable_resilience(opt);
+  band.inject_slow_rank(2, 4.0);
+  band.run(nsteps);
+
+  MultiGpuSolver multi(s, phys, 4);
+  multi.enable_resilience(opt);
+  multi.inject_slow_device(2, 4.0);
+  multi.run(nsteps);
+
+  EXPECT_EQ(band.resilience_stats().slow_steps, nsteps);
+  EXPECT_EQ(multi.resilience_stats().slow_steps, nsteps);
+}
+
+TEST(StragglerMultiGpu, ConstantSlowDeviceRebalancesOnceLikeBand) {
+  // One derate settles a constant 4x straggler: after it the victim's smaller
+  // share takes no longer than a healthy share, so the detector goes quiet.
+  const BteScenario s = tiny_scenario();
+  auto phys = std::make_shared<const BtePhysics>(s.nbands, s.ndirs);
+  const int nsteps = 20;
+  ResilienceOptions opt;
+  opt.straggler = armed_straggler();
+  opt.straggler.speculation = false;  // isolate the weighted-derate path
+
+  BandPartitionedSolver band(s, phys, 4);
+  band.enable_resilience(opt);
+  band.inject_slow_rank(2, 4.0);
+  band.run(nsteps);
+
+  MultiGpuSolver multi(s, phys, 4);
+  multi.enable_resilience(opt);
+  multi.inject_slow_device(2, 4.0);
+  multi.run(nsteps);
+
+  EXPECT_EQ(band.resilience_stats().rebalances, 1);
+  EXPECT_EQ(multi.resilience_stats().rebalances, band.resilience_stats().rebalances);
+  EXPECT_EQ(multi.resilience_stats().evictions, 0);
+  for (const int32_t owners : multi.owner_counts()) EXPECT_EQ(owners, 1);
+  DirectSolver serial(s, phys);
+  serial.run(nsteps);
+  EXPECT_TRUE(bitwise_equal(multi.temperature(), serial.temperature()));
+  EXPECT_TRUE(bitwise_equal(multi.gather_intensity(), serial.intensity()));
+}
+
 TEST(StragglerMultiGpu, InjectedSlowRankFaultSticksToOneDevice) {
   const BteScenario s = tiny_scenario();
   auto phys = std::make_shared<const BtePhysics>(s.nbands, s.ndirs);
